@@ -2,7 +2,8 @@
 
 Submodules:
 
-* :mod:`lanton.linalg`      dense float64 kernels (Jacobi SVD, power iteration)
+* :mod:`lanton.checks`      typed config value checks, ConfigError
+* :mod:`lanton.linalg`      dense float64 kernels (Frobenius norm, Jacobi SVD)
 * :mod:`lanton.norms`       per-group primal and dual norms
 * :mod:`lanton.lmo`         linear minimization oracles, Newton-Schulz polar
 * :mod:`lanton.optimizer`   the adaptive optimizer and reference baselines
@@ -12,7 +13,7 @@ Submodules:
 * :mod:`lanton.cli`         the `lanton` command
 """
 
-from .linalg import SvdResult, frobenius_norm, jacobi_svd, spectral_norm_power
+from .linalg import SvdResult, frobenius_norm, jacobi_svd
 from .norms import Group, dual_norm, nuclear_norm, primal_norm, rms_norm
 from .lmo import lmo, newton_schulz, polar_exact
 from .optimizer import (

@@ -28,7 +28,6 @@ from .harness import (
     run_experiment,
     _write_text_atomic,
 )
-from .tasks import NoiseProfile
 
 __all__ = ["main"]
 
@@ -103,11 +102,6 @@ def _cmd_compare(args) -> int:
                           smoothing="raw" if args.raw_crossing else "trailing")
     print(json.dumps(report, sort_keys=True, indent=2))
     return 0
-
-
-def _task_noise_profile(task_section: dict) -> NoiseProfile:
-    task = build_task(task_section)
-    return task.noise
 
 
 def _cmd_diagnose(args) -> int:

@@ -17,19 +17,22 @@ import os
 import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
+from .checks import ConfigError, check_boolean, check_integer, check_number, check_string
 from .norms import Group
 from .optimizer import (
     BASELINE_KINDS,
+    OPTIONS,
     LantonConfig,
     LayerSpec,
     LayerStats,
     baseline_step,
     init_state,
     lanton_step,
+    needs_twins,
 )
 from .tasks import (
     DatasetSpec,
@@ -67,14 +70,6 @@ CSV_HEADER = "step,loss,layer,eta_eff,ratio,H,dual_grad_norm"
 OPTIMIZER_KINDS = ("lanton",) + BASELINE_KINDS
 
 
-class ConfigError(ValueError):
-    """Config validation failure carrying the offending field path."""
-
-    def __init__(self, field: str, message: str):
-        self.field = field
-        super().__init__(f"{field}: {message}")
-
-
 @dataclass(frozen=True)
 class TelemetryFlags:
     h: bool = True
@@ -93,6 +88,16 @@ class ExperimentConfig:
     telemetry: TelemetryFlags
     output_path: str
     loss_threshold: float | None
+
+    def __post_init__(self):
+        # A seed names its CSV and its summary entry and seeds the run's
+        # SeedSequence, so each must be a non-negative integer listed once.
+        if not self.seeds:
+            raise ConfigError("seeds", "expected a non-empty list of integers")
+        for i, seed in enumerate(self.seeds):
+            check_integer(seed, f"seeds[{i}]", lo=0)
+            if seed in self.seeds[:i]:
+                raise ConfigError(f"seeds[{i}]", f"duplicate seed {seed}")
 
 
 @dataclass(frozen=True)
@@ -121,43 +126,6 @@ def _require(obj: dict, key: str, path: str):
     return obj[key]
 
 
-def _number(value, path: str, lo=None, hi=None, lo_open=False, hi_open=False) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, f"expected a number, got {value!r}")
-    v = float(value)
-    if not math.isfinite(v):
-        raise ConfigError(path, "must be finite")
-    if lo is not None and (v < lo or (lo_open and v == lo)):
-        raise ConfigError(path, f"must be {'>' if lo_open else '>='} {lo}, got {v}")
-    if hi is not None and (v > hi or (hi_open and v == hi)):
-        raise ConfigError(path, f"must be {'<' if hi_open else '<='} {hi}, got {v}")
-    return v
-
-
-def _integer(value, path: str, lo=None, hi=None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(path, f"expected an integer, got {value!r}")
-    if lo is not None and value < lo:
-        raise ConfigError(path, f"must be >= {lo}, got {value}")
-    if hi is not None and value > hi:
-        raise ConfigError(path, f"must be <= {hi}, got {value}")
-    return value
-
-
-def _boolean(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(path, f"expected a boolean, got {value!r}")
-    return value
-
-
-def _string(value, path: str, choices=None) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(path, f"expected a string, got {value!r}")
-    if choices is not None and value not in choices:
-        raise ConfigError(path, f"must be one of {sorted(choices)}, got {value!r}")
-    return value
-
-
 _QUAD_PRESET_KEYS = {
     "transformer": {"kind", "preset", "seed", "shape", "smoothness"},
     "heterogeneous": {"kind", "preset", "seed", "shape", "smoothness",
@@ -165,12 +133,6 @@ _QUAD_PRESET_KEYS = {
 }
 _LAYER_KEYS = {"name", "shape", "group", "smoothness", "sigma_lo", "sigma_hi"}
 _MLP_KEYS = {"kind", "widths", "n_samples", "dataset_seed", "label_noise", "seed", "noise"}
-_OPTIMIZER_KEYS = {
-    "kind", "mode", "alpha", "beta1", "beta2", "eta_max", "eta_min",
-    "warmup_steps", "weight_decay", "r1", "r2", "hidden_scale",
-    "noise_option", "noise_update_interval", "ns_steps", "oracle_polar",
-    "embedding_dual",
-}
 _TOP_KEYS = {"task", "optimizer", "seeds", "total_steps", "telemetry",
              "output_path", "loss_threshold"}
 
@@ -178,7 +140,7 @@ _TOP_KEYS = {"task", "optimizer", "seeds", "total_steps", "telemetry",
 def _parse_shape(value, path: str, arity=None) -> tuple[int, ...]:
     if not isinstance(value, list) or not value:
         raise ConfigError(path, f"expected a non-empty list of dims, got {value!r}")
-    dims = tuple(_integer(d, f"{path}[{i}]", lo=1) for i, d in enumerate(value))
+    dims = tuple(check_integer(d, f"{path}[{i}]", lo=1) for i, d in enumerate(value))
     if arity is not None and len(dims) != arity:
         raise ConfigError(path, f"expected {arity} dims, got {len(dims)}")
     return dims
@@ -187,16 +149,16 @@ def _parse_shape(value, path: str, arity=None) -> tuple[int, ...]:
 def _parse_task(section, path: str = "task") -> dict:
     if not isinstance(section, dict):
         raise ConfigError(path, "expected an object")
-    kind = _string(_require(section, "kind", path), f"{path}.kind", {"quadratic", "mlp"})
+    kind = check_string(_require(section, "kind", path), f"{path}.kind", {"quadratic", "mlp"})
     out: dict = {"kind": kind}
     if kind == "mlp":
         _check_keys(section, _MLP_KEYS, path)
         widths = _parse_shape(_require(section, "widths", path), f"{path}.widths", arity=3)
         out["widths"] = list(widths)
-        out["n_samples"] = _integer(section.get("n_samples", 256), f"{path}.n_samples", lo=1)
-        out["dataset_seed"] = _integer(section.get("dataset_seed", 0), f"{path}.dataset_seed")
-        out["label_noise"] = _number(section.get("label_noise", 0.0), f"{path}.label_noise", lo=0.0)
-        out["seed"] = _integer(section.get("seed", 0), f"{path}.seed")
+        out["n_samples"] = check_integer(section.get("n_samples", 256), f"{path}.n_samples", lo=1)
+        out["dataset_seed"] = check_integer(section.get("dataset_seed", 0), f"{path}.dataset_seed")
+        out["label_noise"] = check_number(section.get("label_noise", 0.0), f"{path}.label_noise", lo=0.0)
+        out["seed"] = check_integer(section.get("seed", 0), f"{path}.seed")
         noise = section.get("noise", {"w1": [0.0, 0.0], "w2": [0.0, 0.0]})
         if not isinstance(noise, dict):
             raise ConfigError(f"{path}.noise", "expected an object")
@@ -206,8 +168,8 @@ def _parse_task(section, path: str = "task") -> dict:
             pair = noise.get(name, [0.0, 0.0])
             if not isinstance(pair, list) or len(pair) != 2:
                 raise ConfigError(f"{path}.noise.{name}", "expected [sigma_lo, sigma_hi]")
-            lo = _number(pair[0], f"{path}.noise.{name}[0]", lo=0.0)
-            hi = _number(pair[1], f"{path}.noise.{name}[1]", lo=0.0)
+            lo = check_number(pair[0], f"{path}.noise.{name}[0]", lo=0.0)
+            hi = check_number(pair[1], f"{path}.noise.{name}[1]", lo=0.0)
             if lo > hi:
                 raise ConfigError(f"{path}.noise.{name}", f"sigma_lo {lo} > sigma_hi {hi}")
             out["noise"][name] = [lo, hi]
@@ -216,21 +178,21 @@ def _parse_task(section, path: str = "task") -> dict:
     # quadratic
     preset = section.get("preset")
     if preset is not None:
-        preset = _string(preset, f"{path}.preset", set(_QUAD_PRESET_KEYS))
+        preset = check_string(preset, f"{path}.preset", set(_QUAD_PRESET_KEYS))
         _check_keys(section, _QUAD_PRESET_KEYS[preset], path)
         out["preset"] = preset
-        out["seed"] = _integer(section.get("seed", 0), f"{path}.seed")
+        out["seed"] = check_integer(section.get("seed", 0), f"{path}.seed")
         out["shape"] = list(_parse_shape(section.get("shape", [8, 8]), f"{path}.shape", arity=2))
-        out["smoothness"] = _number(section.get("smoothness", 1.0), f"{path}.smoothness", lo=0.0, lo_open=True)
+        out["smoothness"] = check_number(section.get("smoothness", 1.0), f"{path}.smoothness", lo=0.0, lo_open=True)
         if preset == "heterogeneous":
-            out["n_layers"] = _integer(section.get("n_layers", 6), f"{path}.n_layers", lo=2)
-            out["spread"] = _number(section.get("spread", 100.0), f"{path}.spread", lo=1.0)
-            out["sigma_hi_base"] = _number(section.get("sigma_hi_base", 0.003), f"{path}.sigma_hi_base", lo=0.0)
-            out["lo_frac"] = _number(section.get("lo_frac", 1.0 / 3.0), f"{path}.lo_frac", lo=0.0, hi=1.0)
+            out["n_layers"] = check_integer(section.get("n_layers", 6), f"{path}.n_layers", lo=2)
+            out["spread"] = check_number(section.get("spread", 100.0), f"{path}.spread", lo=1.0)
+            out["sigma_hi_base"] = check_number(section.get("sigma_hi_base", 0.003), f"{path}.sigma_hi_base", lo=0.0)
+            out["lo_frac"] = check_number(section.get("lo_frac", 1.0 / 3.0), f"{path}.lo_frac", lo=0.0, hi=1.0)
         return out
 
     _check_keys(section, {"kind", "seed", "layers"}, path)
-    out["seed"] = _integer(section.get("seed", 0), f"{path}.seed")
+    out["seed"] = check_integer(section.get("seed", 0), f"{path}.seed")
     layers = _require(section, "layers", path)
     if not isinstance(layers, list) or not layers:
         raise ConfigError(f"{path}.layers", "expected a non-empty list")
@@ -241,77 +203,42 @@ def _parse_task(section, path: str = "task") -> dict:
         if not isinstance(layer, dict):
             raise ConfigError(lp, "expected an object")
         _check_keys(layer, _LAYER_KEYS, lp)
-        name = _string(_require(layer, "name", lp), f"{lp}.name")
+        name = check_string(_require(layer, "name", lp), f"{lp}.name")
+        if any(c in name for c in ",\n\r"):
+            raise ConfigError(f"{lp}.name", f"{name!r}: a comma or line break would break the CSV")
         if name in seen:
             raise ConfigError(f"{lp}.name", f"duplicate layer name {name!r}")
         seen.add(name)
-        group = _string(_require(layer, "group", lp), f"{lp}.group",
-                        {g.value for g in Group})
+        group = check_string(_require(layer, "group", lp), f"{lp}.group",
+                             {g.value for g in Group})
         arity = 1 if group == Group.VECTOR_NORM.value else 2
         shape = _parse_shape(_require(layer, "shape", lp), f"{lp}.shape", arity=arity)
-        lo = _number(layer.get("sigma_lo", 0.0), f"{lp}.sigma_lo", lo=0.0)
-        hi = _number(layer.get("sigma_hi", 0.0), f"{lp}.sigma_hi", lo=0.0)
+        lo = check_number(layer.get("sigma_lo", 0.0), f"{lp}.sigma_lo", lo=0.0)
+        hi = check_number(layer.get("sigma_hi", 0.0), f"{lp}.sigma_hi", lo=0.0)
         if lo > hi:
             raise ConfigError(f"{lp}.sigma_lo", f"sigma_lo {lo} > sigma_hi {hi}")
         out["layers"].append({
             "name": name,
             "shape": list(shape),
             "group": group,
-            "smoothness": _number(layer.get("smoothness", 1.0), f"{lp}.smoothness", lo=0.0, lo_open=True),
+            "smoothness": check_number(layer.get("smoothness", 1.0), f"{lp}.smoothness", lo=0.0, lo_open=True),
             "sigma_lo": lo,
             "sigma_hi": hi,
         })
     return out
 
 
-def _parse_optimizer(section, total_steps: int, path: str = "optimizer") -> tuple[str, str, LantonConfig, dict]:
+def _parse_optimizer(section, total_steps: int, path: str = "optimizer") -> tuple[str, str, LantonConfig]:
     if not isinstance(section, dict):
         raise ConfigError(path, "expected an object")
-    _check_keys(section, _OPTIMIZER_KEYS, path)
-    kind = _string(section.get("kind", "lanton"), f"{path}.kind", set(OPTIMIZER_KINDS))
-    mode = _string(section.get("mode", "raw"), f"{path}.mode", {"raw", "practical"})
-    beta1 = _number(section.get("beta1", 0.95), f"{path}.beta1", lo=0.0, hi=1.0, hi_open=True)
-    beta2 = _number(section.get("beta2", 0.9), f"{path}.beta2", lo=0.0, hi=1.0, hi_open=True)
-    # The momentum window and the scaling knee are tied unless alpha is given.
-    alpha = _number(section.get("alpha", 1.0 - beta1), f"{path}.alpha", lo=0.0, lo_open=True)
-    eta_max = _number(section.get("eta_max", 5e-3), f"{path}.eta_max", lo=0.0, lo_open=True)
-    eta_min = _number(section.get("eta_min", 5e-4), f"{path}.eta_min", lo=0.0, lo_open=True)
-    if eta_min > eta_max:
-        raise ConfigError(f"{path}.eta_min", f"eta_min {eta_min} > eta_max {eta_max}")
-    warmup = _integer(section.get("warmup_steps", 0), f"{path}.warmup_steps", lo=0)
-    if warmup >= total_steps:
-        raise ConfigError(f"{path}.warmup_steps", f"must be < total_steps ({total_steps})")
-    cfg = LantonConfig(
-        total_steps=total_steps,
-        alpha=alpha,
-        beta1=beta1,
-        beta2=beta2,
-        eta_max=eta_max,
-        eta_min=eta_min,
-        warmup_steps=warmup,
-        weight_decay=_number(section.get("weight_decay", 0.0), f"{path}.weight_decay", lo=0.0),
-        r1=_number(section.get("r1", 300.0), f"{path}.r1", lo=0.0, lo_open=True),
-        r2=_number(section.get("r2", 1.0), f"{path}.r2", lo=0.0, lo_open=True),
-        hidden_scale=_number(section.get("hidden_scale", 0.2), f"{path}.hidden_scale", lo=0.0, lo_open=True),
-        noise_option=_string(section.get("noise_option", "I"), f"{path}.noise_option", {"I", "II"}),
-        noise_update_interval=_integer(section.get("noise_update_interval", 10),
-                                       f"{path}.noise_update_interval", lo=1),
-        ns_steps=_integer(section.get("ns_steps", 5), f"{path}.ns_steps", lo=1),
-        oracle_polar=_boolean(section.get("oracle_polar", False), f"{path}.oracle_polar"),
-        embedding_dual=_string(section.get("embedding_dual", "default"), f"{path}.embedding_dual",
-                               {"default", "alternate"}),
-    )
-    echo = {
-        "kind": kind, "mode": mode, "alpha": cfg.alpha, "beta1": cfg.beta1,
-        "beta2": cfg.beta2, "eta_max": cfg.eta_max, "eta_min": cfg.eta_min,
-        "warmup_steps": cfg.warmup_steps, "weight_decay": cfg.weight_decay,
-        "r1": cfg.r1, "r2": cfg.r2, "hidden_scale": cfg.hidden_scale,
-        "noise_option": cfg.noise_option,
-        "noise_update_interval": cfg.noise_update_interval,
-        "ns_steps": cfg.ns_steps, "oracle_polar": cfg.oracle_polar,
-        "embedding_dual": cfg.embedding_dual,
-    }
-    return kind, mode, cfg, echo
+    _check_keys(section, {"kind", "mode"} | {f.name for f in OPTIONS}, path)
+    kind = check_string(section.get("kind", "lanton"), f"{path}.kind", OPTIMIZER_KINDS)
+    mode = check_string(section.get("mode", "raw"), f"{path}.mode", ("raw", "practical"))
+    options = {k: v for k, v in section.items() if k not in ("kind", "mode")}
+    try:
+        return kind, mode, LantonConfig(total_steps=total_steps, **options)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}.{exc.field}", exc.message) from None
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -328,31 +255,26 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("<document>", "top level must be an object")
     _check_keys(raw, _TOP_KEYS, "")
     task_section = _parse_task(_require(raw, "task", ""))
-    total_steps = _integer(raw.get("total_steps", 1000), "total_steps", lo=1)
-    kind, mode, lanton, _ = _parse_optimizer(_require(raw, "optimizer", ""), total_steps)
-    seeds_raw = raw.get("seeds", [0])
-    if not isinstance(seeds_raw, list) or not seeds_raw:
+    total_steps = check_integer(raw.get("total_steps", 1000), "total_steps", lo=1)
+    kind, mode, lanton = _parse_optimizer(_require(raw, "optimizer", ""), total_steps)
+    seeds = raw.get("seeds", [0])
+    if not isinstance(seeds, list):
         raise ConfigError("seeds", "expected a non-empty list of integers")
-    seeds = tuple(_integer(s, f"seeds[{i}]") for i, s in enumerate(seeds_raw))
     tele_raw = raw.get("telemetry", {})
     if not isinstance(tele_raw, dict):
         raise ConfigError("telemetry", "expected an object")
-    _check_keys(tele_raw, {"h", "ratio", "dual_grad_norm"}, "telemetry")
-    telemetry = TelemetryFlags(
-        h=_boolean(tele_raw.get("h", True), "telemetry.h"),
-        ratio=_boolean(tele_raw.get("ratio", True), "telemetry.ratio"),
-        dual_grad_norm=_boolean(tele_raw.get("dual_grad_norm", True), "telemetry.dual_grad_norm"),
-    )
-    output_path = _string(raw.get("output_path", "runs/run"), "output_path")
+    _check_keys(tele_raw, {f.name for f in fields(TelemetryFlags)}, "telemetry")
+    telemetry = TelemetryFlags(**{k: check_boolean(v, f"telemetry.{k}") for k, v in tele_raw.items()})
+    output_path = check_string(raw.get("output_path", "runs/run"), "output_path")
     threshold = raw.get("loss_threshold", None)
     if threshold is not None:
-        threshold = _number(threshold, "loss_threshold")
+        threshold = check_number(threshold, "loss_threshold")
     return ExperimentConfig(
         task_section=task_section,
         optimizer_kind=kind,
         mode=mode,
         lanton=lanton,
-        seeds=seeds,
+        seeds=tuple(seeds),
         total_steps=total_steps,
         telemetry=telemetry,
         output_path=output_path,
@@ -364,29 +286,13 @@ def canonical_config(cfg: ExperimentConfig) -> dict:
     """Fully-defaulted mirror of the config, stable for hashing and echoing."""
     return {
         "task": cfg.task_section,
-        "optimizer": _optimizer_echo_fields(cfg),
+        "optimizer": {"kind": cfg.optimizer_kind, "mode": cfg.mode,
+                      **{f.name: getattr(cfg.lanton, f.name) for f in OPTIONS}},
         "seeds": list(cfg.seeds),
         "total_steps": cfg.total_steps,
-        "telemetry": {
-            "h": cfg.telemetry.h,
-            "ratio": cfg.telemetry.ratio,
-            "dual_grad_norm": cfg.telemetry.dual_grad_norm,
-        },
+        "telemetry": asdict(cfg.telemetry),
         "output_path": cfg.output_path,
         "loss_threshold": cfg.loss_threshold,
-    }
-
-
-def _optimizer_echo_fields(cfg: ExperimentConfig) -> dict:
-    c = cfg.lanton
-    return {
-        "kind": cfg.optimizer_kind, "mode": cfg.mode, "alpha": c.alpha,
-        "beta1": c.beta1, "beta2": c.beta2, "eta_max": c.eta_max,
-        "eta_min": c.eta_min, "warmup_steps": c.warmup_steps,
-        "weight_decay": c.weight_decay, "r1": c.r1, "r2": c.r2,
-        "hidden_scale": c.hidden_scale, "noise_option": c.noise_option,
-        "noise_update_interval": c.noise_update_interval, "ns_steps": c.ns_steps,
-        "oracle_polar": c.oracle_polar, "embedding_dual": c.embedding_dual,
     }
 
 
@@ -484,7 +390,7 @@ def execute_run(cfg: ExperimentConfig, seed: int, task=None) -> tuple[list[RunRe
             aborted_at = t
             break
         twins = None
-        if cfg.optimizer_kind == "lanton" and opt.noise_option == "II" and t % opt.noise_update_interval == 0:
+        if needs_twins(cfg.optimizer_kind, opt, t):
             grads, twins = perturb_gradients(layers, exact, task.noise, rngs, twin=True)
         else:
             grads = perturb_gradients(layers, exact, task.noise, rngs)
@@ -685,6 +591,8 @@ def compare_runs(paths, threshold: float, smoothing: str = "trailing",
         finals = []
         for seed in summary["seeds"]:
             losses = losses_by_seed[seed]
+            if not losses:
+                raise ValueError(f"{os.path.join(path, f'seed_{seed}.csv')}: no steps recorded")
             s = steps_to_threshold(losses, threshold, smoothing=smoothing, window=window)
             steps.append(math.inf if s is None else s)
             finals.append(losses[-1])

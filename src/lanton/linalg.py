@@ -1,4 +1,4 @@
-"""Dense float64 kernels: Frobenius norm, one-sided Jacobi SVD, power iteration.
+"""Dense float64 kernels: Frobenius norm and one-sided Jacobi SVD.
 
 Everything here is a pure function on plain numpy arrays. Matrices are 2-D
 float64 arrays in row-major order, vectors are 1-D float64 arrays. All kernels
@@ -20,7 +20,6 @@ __all__ = [
     "require_finite",
     "frobenius_norm",
     "jacobi_svd",
-    "spectral_norm_power",
 ]
 
 # One-sided Jacobi: rotations are skipped once the column coupling falls below
@@ -162,27 +161,3 @@ def jacobi_svd(a) -> SvdResult:
         _complete_orthonormal(u, degenerate)
 
     return SvdResult(u=u, s=s_vals, vt=vt_rows)
-
-
-def spectral_norm_power(a, iters: int = 100, seed: int = 0) -> float:
-    """Largest singular value estimated by power iteration on a.T @ a.
-
-    The returned value is a Rayleigh-type quotient, so it never exceeds the
-    true spectral norm (up to roundoff) and approaches it from below as the
-    iteration count grows. The starting vector is drawn from a generator
-    seeded with `seed`, making the estimate deterministic.
-    """
-    a = as_matrix(a)
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    v = rng.standard_normal(a.shape[1])
-    v /= float(np.linalg.norm(v))
-    for _ in range(iters):
-        w = a @ v
-        z = a.T @ w
-        nz = float(np.linalg.norm(z))
-        if nz == 0.0:
-            return 0.0
-        v = z / nz
-    return float(np.linalg.norm(a @ v))

@@ -60,7 +60,7 @@ def newton_schulz(a, steps: int = DEFAULT_NS_STEPS, coefficients=QUINTIC_COEFFS)
     norm of that quotient (plus 1e-12), which guarantees the starting spectral
     norm is at most 1. Doing the reduction through the max-abs entry makes the
     iterate, and therefore the output, bit-identical across exact positive
-    rescalings of the input. Wide matrices run through their transpose so the
+    rescalings of the input. Tall matrices run through their transpose so the
     Gram products stay small.
     """
     a = as_matrix(a)

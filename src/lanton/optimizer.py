@@ -28,16 +28,18 @@ Decoupled weight decay, when enabled, multiplies parameters by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .checks import ConfigError, check_boolean, check_integer, check_number, check_string
 from .lmo import lmo
 from .norms import Group, dual_norm
 
 __all__ = [
     "LayerSpec",
     "LantonConfig",
+    "OPTIONS",
     "LantonState",
     "LayerStats",
     "GradientError",
@@ -47,6 +49,7 @@ __all__ = [
     "alpha_and_ratio",
     "lanton_step",
     "baseline_step",
+    "needs_twins",
     "BASELINE_KINDS",
 ]
 
@@ -77,56 +80,60 @@ class LayerSpec:
             raise ValueError(f"layer {self.name}: smoothness must be >= 0")
 
 
+def _option(json_type: type, default, **bounds):
+    """A LantonConfig field that is also a key of a config's optimizer section:
+    its JSON type (float, int, bool or str), its default and the bounds that
+    type's check takes."""
+    return field(default=default, metadata={"type": json_type, "bounds": bounds})
+
+
+_CHECKS = {float: check_number, int: check_integer, bool: check_boolean, str: check_string}
+
+
 @dataclass
 class LantonConfig:
-    """Hyperparameters for the optimizer and its schedule."""
+    """Hyperparameters for the optimizer and its schedule.
+
+    Every field but ``total_steps`` is an optimizer option (see ``OPTIONS``):
+    a config file's ``optimizer`` section takes the same names, defaults and
+    bounds, and ``__post_init__`` checks them for both kinds of caller. A
+    failed check raises :class:`ConfigError` naming the field.
+    """
 
     total_steps: int
-    alpha: float = 0.05
-    beta1: float = 0.95
-    beta2: float = 0.9
-    eta_max: float = 5e-3
-    eta_min: float = 5e-4
-    warmup_steps: int = 0
-    weight_decay: float = 0.0
-    r1: float = 300.0
-    r2: float = 1.0
-    hidden_scale: float = 0.2
-    noise_option: str = "I"
-    noise_update_interval: int = 10
-    ns_steps: int = 5
-    oracle_polar: bool = False
-    embedding_dual: str = "default"
+    beta1: float = _option(float, 0.95, lo=0.0, hi=1.0, hi_open=True)
+    beta2: float = _option(float, 0.9, lo=0.0, hi=1.0, hi_open=True)
+    # None ties the scaling knee to the momentum window: alpha = 1 - beta1.
+    alpha: float | None = _option(float, None, lo=0.0, lo_open=True)
+    eta_max: float = _option(float, 5e-3, lo=0.0, lo_open=True)
+    eta_min: float = _option(float, 5e-4, lo=0.0, lo_open=True)  # and <= eta_max
+    warmup_steps: int = _option(int, 0, lo=0)  # and < total_steps
+    weight_decay: float = _option(float, 0.0, lo=0.0)
+    r1: float = _option(float, 300.0, lo=0.0, lo_open=True)
+    r2: float = _option(float, 1.0, lo=0.0, lo_open=True)
+    hidden_scale: float = _option(float, 0.2, lo=0.0, lo_open=True)
+    noise_option: str = _option(str, "I", choices=("I", "II"))
+    noise_update_interval: int = _option(int, 10, lo=1)
+    ns_steps: int = _option(int, 5, lo=1)
+    oracle_polar: bool = _option(bool, False)
+    embedding_dual: str = _option(str, "default", choices=("default", "alternate"))
 
     def __post_init__(self):
-        if self.total_steps < 1:
-            raise ValueError("total_steps must be >= 1")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be > 0")
-        if not 0.0 <= self.beta1 < 1.0:
-            raise ValueError("beta1 must be in [0, 1)")
-        if not 0.0 <= self.beta2 < 1.0:
-            raise ValueError("beta2 must be in [0, 1)")
-        if not self.eta_max > 0 or not self.eta_min > 0:
-            raise ValueError("eta_max and eta_min must be > 0")
+        check_integer(self.total_steps, "total_steps", lo=1)
+        for f in OPTIONS:
+            value = getattr(self, f.name)
+            if f.name == "alpha" and value is None:
+                value = 1.0 - self.beta1
+            check = _CHECKS[f.metadata["type"]]
+            setattr(self, f.name, check(value, f.name, **f.metadata["bounds"]))
         if self.eta_min > self.eta_max:
-            raise ValueError("eta_min must be <= eta_max")
-        if self.warmup_steps < 0:
-            raise ValueError("warmup_steps must be >= 0")
+            raise ConfigError("eta_min", f"eta_min {self.eta_min} > eta_max {self.eta_max}")
         if self.warmup_steps >= self.total_steps:
-            raise ValueError("warmup_steps must be < total_steps")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
-        if not self.r1 > 0 or not self.r2 > 0 or not self.hidden_scale > 0:
-            raise ValueError("r1, r2 and hidden_scale must be > 0")
-        if self.noise_option not in ("I", "II"):
-            raise ValueError("noise_option must be 'I' or 'II'")
-        if self.noise_update_interval < 1:
-            raise ValueError("noise_update_interval must be >= 1")
-        if self.ns_steps < 1:
-            raise ValueError("ns_steps must be >= 1")
-        if self.embedding_dual not in ("default", "alternate"):
-            raise ValueError("embedding_dual must be 'default' or 'alternate'")
+            raise ConfigError("warmup_steps", f"must be < total_steps ({self.total_steps})")
+
+
+# The optimizer options, in the order they are checked.
+OPTIONS = tuple(f for f in fields(LantonConfig) if f.metadata)
 
 
 @dataclass
@@ -228,16 +235,20 @@ class LayerStats:
     dual_grad_norm: float
 
 
-def _check_grads(state: LantonState, grads) -> None:
+def _check_grads(state: LantonState, grads) -> dict[str, np.ndarray]:
+    """The gradients as float64 arrays, once their cover, shapes and values pass."""
     names = {l.name for l in state.layers}
     if set(grads) != names:
         raise ValueError(f"gradients for {sorted(set(grads))} do not cover layers {sorted(names)}")
+    out = {}
     for spec in state.layers:
         g = np.asarray(grads[spec.name], dtype=np.float64)
         if g.shape != tuple(spec.shape):
             raise ValueError(f"layer {spec.name}: gradient shape {g.shape} != {spec.shape}")
         if not np.all(np.isfinite(g)):
             raise GradientError(f"non-finite gradient in layer {spec.name}")
+        out[spec.name] = g
+    return out
 
 
 def _effective_lr(spec: LayerSpec, eta_base: float, ratio: float, cfg: LantonConfig, mode: str) -> float:
@@ -251,6 +262,74 @@ def _effective_lr(spec: LayerSpec, eta_base: float, ratio: float, cfg: LantonCon
             return cfg.r1 * eta_base * math.sqrt(ratio)
         return cfg.r2 * eta_base * math.sqrt(ratio)
     raise ValueError(f"mode must be 'raw' or 'practical', got {mode!r}")
+
+
+def needs_twins(kind: str, cfg: LantonConfig, t: int) -> bool:
+    """Whether step t of this optimizer kind takes a twin gradient: lanton's
+    tracker-update steps under option II."""
+    return kind == "lanton" and cfg.noise_option == "II" and t % cfg.noise_update_interval == 0
+
+
+def _step(kind: str, state: LantonState, grads, cfg: LantonConfig, mode: str, twins, params,
+          log_dual_norm: bool):
+    """One step of any kind: momentum, direction, rate, decay and telemetry.
+
+    Only lanton tracks noise; the other kinds move at ratio 1. The sign and
+    gradient directions are not unit-ball oracle outputs, so the practical
+    per-group scales do not apply to them: they move at the base rate.
+    """
+    grads = _check_grads(state, grads)
+    if cfg.weight_decay > 0.0 and params is None:
+        raise ValueError("params are required when weight_decay > 0")
+    eta_base = cosine_schedule_lr(state.t, cfg)
+
+    if kind != "sgd":
+        for spec in state.layers:
+            b = state.momentum[spec.name]
+            g = grads[spec.name]
+            state.momentum[spec.name] = g.copy() if b is None else cfg.beta1 * b + (1.0 - cfg.beta1) * g
+
+    ratios = None
+    if kind == "lanton":
+        if state.t % cfg.noise_update_interval == 0:
+            for spec in state.layers:
+                if cfg.noise_option == "II":
+                    if twins is None or spec.name not in twins:
+                        raise ValueError(
+                            f"layer {spec.name}: option II needs a twin gradient on tracker-update steps"
+                        )
+                    other = twins[spec.name]
+                else:
+                    other = state.prev_grad[spec.name]
+                update_noise_tracker(state, spec.name, grads[spec.name], other, cfg)
+        if cfg.noise_option == "I":
+            for spec in state.layers:
+                state.prev_grad[spec.name] = grads[spec.name].copy()
+        _, ratios = alpha_and_ratio(state, cfg)
+
+    oracle = kind in ("lanton", "fixed_rate_lmo")
+    deltas = {}
+    stats = {}
+    for spec in state.layers:
+        g = grads[spec.name]
+        ratio = 1.0 if ratios is None else ratios[spec.name]
+        if oracle:
+            # The oracle output already points down the anti-gradient (it
+            # minimizes <B, x> over the unit ball), so the descent step adds it.
+            o = lmo(spec.group, state.momentum[spec.name], ns_steps=cfg.ns_steps, oracle=cfg.oracle_polar)
+            eta_eff = _effective_lr(spec, eta_base, ratio, cfg, mode)
+        else:
+            o = -np.sign(state.momentum[spec.name]) if kind == "signum" else -g
+            eta_eff = eta_base
+        delta = eta_eff * o
+        if cfg.weight_decay > 0.0:
+            delta = delta - eta_base * cfg.weight_decay * np.asarray(params[spec.name], dtype=np.float64)
+        deltas[spec.name] = delta
+        dgn = dual_norm(spec.group, g, embedding_dual=cfg.embedding_dual) if log_dual_norm else math.nan
+        stats[spec.name] = LayerStats(eta_eff=eta_eff, ratio=ratio, h=state.h[spec.name], dual_grad_norm=dgn)
+
+    state.t += 1
+    return deltas, stats
 
 
 def lanton_step(
@@ -270,66 +349,8 @@ def lanton_step(
     on tracker-update steps under option II. ``params`` is required whenever
     weight_decay > 0, since the decay term is part of the returned delta.
     """
-    _check_grads(state, grads)
-    if cfg.weight_decay > 0.0 and params is None:
-        raise ValueError("params are required when weight_decay > 0")
-    eta_base = cosine_schedule_lr(state.t, cfg)
-
-    for spec in state.layers:
-        g = np.asarray(grads[spec.name], dtype=np.float64)
-        if state.momentum[spec.name] is None:
-            state.momentum[spec.name] = g.copy()
-        else:
-            state.momentum[spec.name] = (
-                cfg.beta1 * state.momentum[spec.name] + (1.0 - cfg.beta1) * g
-            )
-
-    update_step = state.t % cfg.noise_update_interval == 0
-    if update_step and not force_unit_ratio:
-        for spec in state.layers:
-            g = np.asarray(grads[spec.name], dtype=np.float64)
-            if cfg.noise_option == "II":
-                if twins is None or spec.name not in twins:
-                    raise ValueError(
-                        f"layer {spec.name}: option II needs a twin gradient on tracker-update steps"
-                    )
-                other = twins[spec.name]
-            else:
-                other = state.prev_grad[spec.name]
-            update_noise_tracker(state, spec.name, g, other, cfg)
-    if cfg.noise_option == "I" and not force_unit_ratio:
-        for spec in state.layers:
-            state.prev_grad[spec.name] = np.asarray(grads[spec.name], dtype=np.float64).copy()
-
-    if force_unit_ratio:
-        ratios = {l.name: 1.0 for l in state.layers}
-    else:
-        _, ratios = alpha_and_ratio(state, cfg)
-
-    deltas = {}
-    stats = {}
-    for spec in state.layers:
-        b = state.momentum[spec.name]
-        o = lmo(spec.group, b, ns_steps=cfg.ns_steps, oracle=cfg.oracle_polar)
-        eta_eff = _effective_lr(spec, eta_base, ratios[spec.name], cfg, mode)
-        # The oracle output already points down the anti-gradient (it minimizes
-        # <B, x> over the unit ball), so the descent step adds it.
-        delta = eta_eff * o
-        if cfg.weight_decay > 0.0:
-            delta = delta - eta_base * cfg.weight_decay * np.asarray(params[spec.name], dtype=np.float64)
-        deltas[spec.name] = delta
-        dgn = (
-            dual_norm(spec.group, np.asarray(grads[spec.name], dtype=np.float64),
-                      embedding_dual=cfg.embedding_dual)
-            if log_dual_norm
-            else math.nan
-        )
-        stats[spec.name] = LayerStats(
-            eta_eff=eta_eff, ratio=ratios[spec.name], h=state.h[spec.name], dual_grad_norm=dgn
-        )
-
-    state.t += 1
-    return deltas, stats
+    kind = "fixed_rate_lmo" if force_unit_ratio else "lanton"
+    return _step(kind, state, grads, cfg, mode, twins, params, log_dual_norm)
 
 
 def baseline_step(
@@ -347,41 +368,6 @@ def baseline_step(
     * ``signum``         -- momentum followed by -eta_t * sign(B) everywhere.
     * ``sgd``            -- plain X <- X - eta_t * G.
     """
-    if kind == "fixed_rate_lmo":
-        return lanton_step(
-            state, grads, cfg, mode=mode, params=params,
-            force_unit_ratio=True, log_dual_norm=log_dual_norm,
-        )
-    if kind not in ("signum", "sgd"):
+    if kind not in BASELINE_KINDS:
         raise ValueError(f"unknown baseline kind {kind!r}")
-    _check_grads(state, grads)
-    if cfg.weight_decay > 0.0 and params is None:
-        raise ValueError("params are required when weight_decay > 0")
-    eta_base = cosine_schedule_lr(state.t, cfg)
-
-    deltas = {}
-    stats = {}
-    for spec in state.layers:
-        g = np.asarray(grads[spec.name], dtype=np.float64)
-        if kind == "signum":
-            if state.momentum[spec.name] is None:
-                state.momentum[spec.name] = g.copy()
-            else:
-                state.momentum[spec.name] = (
-                    cfg.beta1 * state.momentum[spec.name] + (1.0 - cfg.beta1) * g
-                )
-            delta = -eta_base * np.sign(state.momentum[spec.name])
-        else:
-            delta = -eta_base * g
-        if cfg.weight_decay > 0.0:
-            delta = delta - eta_base * cfg.weight_decay * np.asarray(params[spec.name], dtype=np.float64)
-        deltas[spec.name] = delta
-        dgn = (
-            dual_norm(spec.group, g, embedding_dual=cfg.embedding_dual)
-            if log_dual_norm
-            else math.nan
-        )
-        stats[spec.name] = LayerStats(eta_eff=eta_base, ratio=1.0, h=0.0, dual_grad_norm=dgn)
-
-    state.t += 1
-    return deltas, stats
+    return _step(kind, state, grads, cfg, mode, None, params, log_dual_norm)

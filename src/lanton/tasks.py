@@ -20,7 +20,6 @@ independent of evaluation order.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +41,6 @@ __all__ = [
     "perturb_gradients",
     "stochastic_grad",
     "gen_dataset",
-    "save_matrix",
-    "load_matrix",
     "noise_streams",
     "transformer_noise_quadratic",
     "heterogeneous_quadratic",
@@ -206,14 +203,20 @@ def mlp_value_grad(task: MlpTask, params: dict[str, np.ndarray]):
     x = task.dataset.features
     y = task.dataset.labels
     n = x.shape[0]
-    hidden = np.tanh(x @ w1.T)            # (n, h)
+    # The (n, h) arrays are updated in place: each fresh one is a large block
+    # the allocator may have handed back to the OS, so it is paged in again.
+    hidden = x @ w1.T                     # (n, h)
+    np.tanh(hidden, out=hidden)
     pred = hidden @ w2.T                  # (n, o)
     resid = pred - y
     loss = float(np.mean(resid * resid))
     # d loss / d pred
     r = resid * (2.0 / (n * o))
     g_w2 = r.T @ hidden
-    g_hidden = (r @ w2) * (1.0 - hidden * hidden)
+    g_hidden = r @ w2
+    np.multiply(hidden, hidden, out=hidden)
+    np.subtract(1.0, hidden, out=hidden)  # tanh' = 1 - tanh^2
+    g_hidden *= hidden
     g_w1 = g_hidden.T @ x
     return loss, {"w1": g_w1, "w2": g_w2}
 
@@ -284,39 +287,6 @@ def gen_dataset(spec: DatasetSpec, seed: int) -> Dataset:
     if spec.label_noise > 0.0:
         y = y + spec.label_noise * rng.standard_normal(y.shape)
     return Dataset(features=x, labels=y)
-
-
-_MAGIC = b"LNTD"
-_VERSION = 1
-
-
-def save_matrix(path, a: np.ndarray) -> None:
-    """Write one matrix in the binary cache format.
-
-    Layout, all little-endian: magic "LNTD", version u32, rows u64, cols u64,
-    then rows*cols float64 values in row-major order.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError("cache format stores 2-D matrices")
-    with open(path, "wb") as f:
-        f.write(struct.pack("<4sIQQ", _MAGIC, _VERSION, a.shape[0], a.shape[1]))
-        f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
-
-
-def load_matrix(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        header = f.read(struct.calcsize("<4sIQQ"))
-        magic, version, rows, cols = struct.unpack("<4sIQQ", header)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        if version != _VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
-        payload = f.read()
-    expected = rows * cols * 8
-    if len(payload) != expected:
-        raise ValueError(f"{path}: payload has {len(payload)} bytes, expected {expected}")
-    return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).astype(np.float64)
 
 
 def _seeded_target(seed: int, index: int, shape) -> np.ndarray:

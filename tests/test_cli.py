@@ -113,6 +113,27 @@ def test_missing_file_error_json(tmp_path, capsys):
     assert "message" in err and err["error"]
 
 
+def test_bad_seeds_rejected_before_any_file(tmp_path, capsys):
+    cfg = _write_config(tmp_path, seeds=[-1])
+    assert main(["run", cfg]) == 1
+    assert json.loads(capsys.readouterr().err)["field"] == "seeds[0]"
+    cfg = _write_config(tmp_path)
+    assert main(["--seed-override", "2,2", "run", cfg]) == 1
+    assert json.loads(capsys.readouterr().err)["field"] == "seeds[1]"
+    assert not (tmp_path / "run").exists()
+
+
+def test_compare_header_only_csv(tmp_path, capsys):
+    for name in ("a", "b"):
+        assert main(["run", _write_config(tmp_path, output_path=str(tmp_path / name))]) == 0
+    csv = tmp_path / "a" / "seed_0.csv"
+    csv.write_text(csv.read_text().splitlines()[0] + "\n")
+    capsys.readouterr()
+    assert main(["compare", str(tmp_path / "a"), str(tmp_path / "b"), "--threshold", "0.5"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and str(csv) in err["message"]
+
+
 def test_bad_seed_override(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     assert main(["--seed-override", "1,x", "run", cfg]) == 1

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from dataclasses import fields
 
 import pytest
 
@@ -8,6 +9,7 @@ from lanton.harness import (
     CSV_HEADER,
     ConfigError,
     RunRecord,
+    TelemetryFlags,
     build_task,
     canonical_config,
     compare_runs,
@@ -19,7 +21,7 @@ from lanton.harness import (
     steps_to_threshold,
     task_signature,
 )
-from lanton.optimizer import LayerStats
+from lanton.optimizer import OPTIONS, LayerStats
 
 
 def _stub_config(**overrides):
@@ -102,6 +104,27 @@ class TestParseConfig:
         ]})
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config(json.dumps(raw))
+
+    @pytest.mark.parametrize("name", ["a,b", "a\nb", "a\rb"])
+    def test_csv_unsafe_layer_name(self, name):
+        raw = _stub_config(task={"kind": "quadratic", "layers": [
+            {"name": "ok", "shape": [2, 2], "group": "hidden"},
+            {"name": name, "shape": [2, 2], "group": "hidden"},
+        ]})
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(raw))
+        assert exc.value.field == "task.layers[1].name"
+
+    @pytest.mark.parametrize("seeds,field", [
+        ([-1], "seeds[0]"),
+        ([0, 3, 0], "seeds[2]"),
+        ([1, True], "seeds[1]"),
+        ([], "seeds"),
+    ])
+    def test_bad_seeds(self, seeds, field):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(_stub_config(seeds=seeds)))
+        assert exc.value.field == field
 
     def test_sigma_order_checked(self):
         raw = _stub_config(task={"kind": "mlp", "widths": [2, 3, 1],
@@ -371,6 +394,8 @@ class TestRunExperiment:
         with open(tmp_path / "run" / "config.json") as f:
             echo = json.load(f)
         assert echo == canonical_config(cfg)
+        assert set(echo["optimizer"]) == {f.name for f in OPTIONS} | {"kind", "mode"}
+        assert set(echo["telemetry"]) == {f.name for f in fields(TelemetryFlags)}
         reparsed = parse_config(json.dumps({
             "task": echo["task"], "optimizer": echo["optimizer"],
             "seeds": echo["seeds"], "total_steps": echo["total_steps"],

@@ -7,7 +7,6 @@ from lanton.linalg import (
     SvdConvergenceError,
     frobenius_norm,
     jacobi_svd,
-    spectral_norm_power,
 )
 
 
@@ -107,46 +106,13 @@ class TestJacobiSvd:
             jacobi_svd(rng.standard_normal((4, 4)))
 
 
-class TestSpectralNormPower:
-    def test_diagonal(self):
-        est = spectral_norm_power(np.diag([2.0, 0.5]), iters=50, seed=0)
-        assert est == pytest.approx(2.0, abs=1e-8)
-
-    def test_identity(self):
-        est = spectral_norm_power(np.eye(3), iters=10, seed=0)
-        assert est == pytest.approx(1.0, abs=1e-8)
-
-    def test_matches_jacobi_on_random(self):
-        rng = np.random.default_rng(16)
-        a = rng.standard_normal((16, 16))
-        est = spectral_norm_power(a, iters=300, seed=2)
-        top = jacobi_svd(a).s[0]
-        assert abs(est - top) <= 1e-6 * top
-
-    def test_zero_matrix(self):
-        assert spectral_norm_power(np.zeros((3, 4)), iters=5, seed=0) == 0.0
-
-    def test_never_overshoots(self):
-        rng = np.random.default_rng(3)
-        for seed in range(10):
-            a = rng.standard_normal((6, 9))
-            est = spectral_norm_power(a, iters=20, seed=seed)
-            top = np.linalg.svd(a, compute_uv=False)[0]
-            assert est <= top * (1.0 + 1e-6)
-
-    def test_deterministic_for_fixed_seed(self):
-        rng = np.random.default_rng(9)
-        a = rng.standard_normal((8, 8))
-        assert spectral_norm_power(a, iters=25, seed=4) == spectral_norm_power(a, iters=25, seed=4)
-
-
 def test_norm_sandwich_invariant():
     # spectral <= frobenius <= sqrt(min dim) * spectral
     rng = np.random.default_rng(21)
     for _ in range(25):
         shape = (int(rng.integers(1, 9)), int(rng.integers(1, 9)))
         a = rng.standard_normal(shape)
-        spec = spectral_norm_power(a, iters=200, seed=0)
+        spec = jacobi_svd(a).s[0]
         fro = frobenius_norm(a)
         assert spec <= fro * (1.0 + 1e-9)
         assert fro <= math.sqrt(min(shape)) * spec + 1e-9 * (1.0 + fro)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lanton.checks import ConfigError
 from lanton.norms import Group, dual_norm
 from lanton.optimizer import (
     GradientError,
@@ -13,6 +14,7 @@ from lanton.optimizer import (
     cosine_schedule_lr,
     init_state,
     lanton_step,
+    needs_twins,
     update_noise_tracker,
 )
 
@@ -352,6 +354,18 @@ def test_replay_determinism_of_state():
             assert st1[name] == st2[name]
 
 
+def test_alpha_default_follows_beta1():
+    assert _cfg(beta1=0.8).alpha == 1.0 - 0.8
+    assert _cfg(beta1=0.8, alpha=0.01).alpha == 0.01
+
+
+def test_needs_twins_only_on_option_two_tracker_steps():
+    cfg = _cfg(noise_option="II", noise_update_interval=3)
+    assert [needs_twins("lanton", cfg, t) for t in range(4)] == [True, False, False, True]
+    assert not any(needs_twins(kind, cfg, 0) for kind in ("fixed_rate_lmo", "signum", "sgd"))
+    assert not needs_twins("lanton", _cfg(noise_option="I", noise_update_interval=3), 0)
+
+
 def test_layer_spec_validation():
     with pytest.raises(ValueError):
         LayerSpec("bad", (0, 2), Group.HIDDEN)
@@ -362,8 +376,12 @@ def test_layer_spec_validation():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError) as exc:
         _cfg(beta2=1.0)
+    assert exc.value.field == "beta2"
+    with pytest.raises(ConfigError) as exc:
+        _cfg(oracle_polar=1)
+    assert exc.value.field == "oracle_polar"
     with pytest.raises(ValueError):
         _cfg(eta_min=1.0, eta_max=0.5)
     with pytest.raises(ValueError):

@@ -1,5 +1,4 @@
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -15,14 +14,12 @@ from lanton.tasks import (
     QuadraticTask,
     gen_dataset,
     heterogeneous_quadratic,
-    load_matrix,
     mlp_value_grad,
     noise_streams,
     transformer_noise_quadratic,
     perturb_gradients,
     quadratic_value_grad,
     sample_dual_noise,
-    save_matrix,
     stochastic_grad,
 )
 
@@ -247,43 +244,6 @@ class TestGenDataset:
         t2 = g.standard_normal((2, 4)) / math.sqrt(4)
         assert np.array_equal(ds.features, x)
         assert np.array_equal(ds.labels, np.tanh(x @ t1.T) @ t2.T)
-
-
-class TestMatrixCache:
-    def test_round_trip_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(11)
-        a = rng.standard_normal((5, 3))
-        path = tmp_path / "m.lntd"
-        save_matrix(path, a)
-        b = load_matrix(path)
-        assert np.array_equal(a, b)
-
-    def test_header_layout(self, tmp_path):
-        a = np.arange(6.0).reshape(2, 3)
-        path = tmp_path / "m.lntd"
-        save_matrix(path, a)
-        blob = path.read_bytes()
-        magic, version, rows, cols = struct.unpack("<4sIQQ", blob[:24])
-        assert magic == b"LNTD" and version == 1 and rows == 2 and cols == 3
-        assert blob[24:] == a.astype("<f8").tobytes()
-        assert len(blob) == 24 + 6 * 8
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "m.lntd"
-        save_matrix(path, np.ones((2, 2)))
-        blob = bytearray(path.read_bytes())
-        blob[:4] = b"NOPE"
-        path.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match="magic"):
-            load_matrix(path)
-
-    def test_truncated_payload_rejected(self, tmp_path):
-        path = tmp_path / "m.lntd"
-        save_matrix(path, np.ones((2, 2)))
-        blob = path.read_bytes()
-        path.write_bytes(blob[:-8])
-        with pytest.raises(ValueError, match="payload"):
-            load_matrix(path)
 
 
 class TestPresets:
