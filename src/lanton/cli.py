@@ -25,6 +25,7 @@ from .harness import (
     compare_runs,
     parse_config,
     read_metrics,
+    read_run_config,
     run_experiment,
     _write_text_atomic,
 )
@@ -105,37 +106,25 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    with open(os.path.join(args.dir, "config.json"), "r", encoding="utf-8") as f:
-        config = json.load(f)
-    with open(os.path.join(args.dir, "summary.json"), "r", encoding="utf-8") as f:
-        summary = json.load(f)
-    task = build_task(config["task"])
-    profile = task.noise
-    groups = {spec.name: spec.group for spec in task.layers}
+    cfg = read_run_config(args.dir)
+    opt = cfg.lanton
+    task = build_task(cfg.task_section)
+    layer_groups = {spec.name: spec.group.value for spec in task.layers}
     consts = [default_equivalence_constants(spec.group, spec.shape) for spec in task.layers]
     c1 = min(c for c, _ in consts)
     c2 = max(c for _, c in consts)
-    beta2 = config["optimizer"]["beta2"]
-    alpha = config["optimizer"]["alpha"]
-    params = BoundParams(c1=c1, c2=c2, delta=args.delta, beta2=beta2, profile=profile)
-    interval_ok = (
-        config["optimizer"]["kind"] == "lanton"
-        and config["optimizer"]["noise_option"] == "II"
-        and config["optimizer"]["noise_update_interval"] == 1
-    )
+    params = BoundParams(c1=c1, c2=c2, delta=args.delta, beta2=opt.beta2, profile=task.noise)
+    # The tracker envelopes hold for a twin-gradient tracker updated every step.
+    interval_ok = (cfg.optimizer_kind == "lanton" and opt.noise_option == "II"
+                   and opt.noise_update_interval == 1)
     per_seed = []
-    for seed in summary["seeds"]:
+    for seed in cfg.seeds:
         records = read_metrics(os.path.join(args.dir, f"seed_{seed}.csv"))
         entry = {"seed": seed}
-        entry["alpha_ratio"] = alpha_ratio_envelope(
-            records, params, alpha,
-            layer_groups={k: g.value for k, g in groups.items()},
-        )
+        entry["alpha_ratio"] = alpha_ratio_envelope(records, params, opt.alpha, layer_groups=layer_groups)
         if interval_ok:
             entry["h_bounds"] = h_bounds_check(records, params)
-            entry["noise_range"] = noise_range_estimate(
-                records, beta2, layer_groups={k: g.value for k, g in groups.items()},
-            )
+            entry["noise_range"] = noise_range_estimate(records, opt.beta2, layer_groups=layer_groups)
         per_seed.append(entry)
     report = {
         "run": args.dir,

@@ -25,6 +25,8 @@ from .checks import ConfigError, check_boolean, check_integer, check_number, che
 from .norms import Group
 from .optimizer import (
     BASELINE_KINDS,
+    CSV_UNSAFE,
+    MODES,
     OPTIONS,
     LantonConfig,
     LayerSpec,
@@ -38,9 +40,9 @@ from .tasks import (
     DatasetSpec,
     MlpTask,
     NoiseProfile,
-    QuadraticTask,
     gen_dataset,
     heterogeneous_quadratic,
+    layered_quadratic,
     noise_streams,
     transformer_noise_quadratic,
     perturb_gradients,
@@ -61,6 +63,7 @@ __all__ = [
     "read_metrics",
     "steps_to_threshold",
     "compare_runs",
+    "read_run_config",
     "load_run_dir",
     "CSV_HEADER",
 ]
@@ -126,6 +129,7 @@ def _require(obj: dict, key: str, path: str):
     return obj[key]
 
 
+_PRESETS = {"transformer": transformer_noise_quadratic, "heterogeneous": heterogeneous_quadratic}
 _QUAD_PRESET_KEYS = {
     "transformer": {"kind", "preset", "seed", "shape", "smoothness"},
     "heterogeneous": {"kind", "preset", "seed", "shape", "smoothness",
@@ -204,7 +208,7 @@ def _parse_task(section, path: str = "task") -> dict:
             raise ConfigError(lp, "expected an object")
         _check_keys(layer, _LAYER_KEYS, lp)
         name = check_string(_require(layer, "name", lp), f"{lp}.name")
-        if any(c in name for c in ",\n\r"):
+        if any(c in name for c in CSV_UNSAFE):
             raise ConfigError(f"{lp}.name", f"{name!r}: a comma or line break would break the CSV")
         if name in seen:
             raise ConfigError(f"{lp}.name", f"duplicate layer name {name!r}")
@@ -233,7 +237,7 @@ def _parse_optimizer(section, total_steps: int, path: str = "optimizer") -> tupl
         raise ConfigError(path, "expected an object")
     _check_keys(section, {"kind", "mode"} | {f.name for f in OPTIONS}, path)
     kind = check_string(section.get("kind", "lanton"), f"{path}.kind", OPTIMIZER_KINDS)
-    mode = check_string(section.get("mode", "raw"), f"{path}.mode", ("raw", "practical"))
+    mode = check_string(section.get("mode", "raw"), f"{path}.mode", MODES)
     options = {k: v for k, v in section.items() if k not in ("kind", "mode")}
     try:
         return kind, mode, LantonConfig(total_steps=total_steps, **options)
@@ -320,39 +324,13 @@ def build_task(task_section: dict):
             noise=NoiseProfile(radii),
             seed=task_section["seed"],
         )
-    preset = task_section.get("preset")
-    if preset == "transformer":
-        return transformer_noise_quadratic(
-            shape=tuple(task_section["shape"]),
-            smoothness=task_section["smoothness"],
-            seed=task_section["seed"],
-        )
-    if preset == "heterogeneous":
-        return heterogeneous_quadratic(
-            n_layers=task_section["n_layers"],
-            spread=task_section["spread"],
-            sigma_hi_base=task_section["sigma_hi_base"],
-            lo_frac=task_section["lo_frac"],
-            shape=tuple(task_section["shape"]),
-            smoothness=task_section["smoothness"],
-            seed=task_section["seed"],
-        )
-    from .tasks import _seeded_target  # layer-list form shares target streams
-
-    layers = []
-    targets = {}
-    radii = {}
-    for i, layer in enumerate(task_section["layers"]):
-        spec = LayerSpec(
-            name=layer["name"],
-            shape=tuple(layer["shape"]),
-            group=Group.parse(layer["group"]),
-            smoothness=layer["smoothness"],
-        )
-        layers.append(spec)
-        targets[spec.name] = _seeded_target(task_section["seed"], i, spec.shape)
-        radii[spec.name] = (layer["sigma_lo"], layer["sigma_hi"])
-    return QuadraticTask(tuple(layers), targets, NoiseProfile(radii))
+    if "preset" in task_section:
+        # A parsed preset section holds exactly the preset builder's parameters.
+        params = {k: v for k, v in task_section.items() if k not in ("kind", "preset")}
+        return _PRESETS[task_section["preset"]](**params)
+    layers = [(LayerSpec(l["name"], tuple(l["shape"]), Group.parse(l["group"]), l["smoothness"]),
+               (l["sigma_lo"], l["sigma_hi"])) for l in task_section["layers"]]
+    return layered_quadratic(layers, task_section["seed"])
 
 
 # ----------------------------------------------------------------------------
@@ -556,17 +534,51 @@ def steps_to_threshold(losses, threshold: float, smoothing: str = "trailing",
     return None
 
 
+_MISSING = object()
+
+
+def _echo_mismatch(raw, echo, path: str = "") -> str | None:
+    """Path of the first key of the echo that a config document lacks or
+    holds another value for, or None when the two agree."""
+    if raw == echo:
+        return None
+    if isinstance(echo, dict) and isinstance(raw, dict):
+        subs = ((f"{path}.{k}" if path else k, raw.get(k, _MISSING), v) for k, v in echo.items())
+    elif isinstance(echo, list) and isinstance(raw, list) and len(raw) == len(echo):
+        subs = ((f"{path}[{i}]", r, e) for i, (r, e) in enumerate(zip(raw, echo)))
+    else:
+        return path
+    return next(filter(None, (_echo_mismatch(r, e, sub) for sub, r, e in subs)), None)
+
+
+def read_run_config(path: str) -> ExperimentConfig:
+    """The typed config of a run directory, read from its ``config.json``.
+
+    The file must parse, and must be the full echo a run writes: a key left
+    out would let a default stand in for the value the run used. A
+    ``ConfigError`` keeps the field path and names the file.
+    """
+    config_path = os.path.join(path, "config.json")
+    with open(config_path, "r", encoding="utf-8") as f:
+        text = f.read()
+    try:
+        cfg = parse_config(text)
+        field = _echo_mismatch(json.loads(text), canonical_config(cfg))
+        if field is not None:
+            raise ConfigError(field, "missing or not as the run wrote it")
+    except ConfigError as exc:
+        raise ConfigError(exc.field, f"{exc.message} (in {config_path})") from None
+    return cfg
+
+
 def load_run_dir(path: str):
-    """Load config, summary and per-seed losses from a run directory."""
-    with open(os.path.join(path, "config.json"), "r", encoding="utf-8") as f:
-        config = json.load(f)
-    with open(os.path.join(path, "summary.json"), "r", encoding="utf-8") as f:
-        summary = json.load(f)
+    """The typed config and the per-seed losses of a run directory."""
+    cfg = read_run_config(path)
     losses_by_seed = {}
-    for seed in summary["seeds"]:
+    for seed in cfg.seeds:
         records = read_metrics(os.path.join(path, f"seed_{seed}.csv"))
         losses_by_seed[seed] = [r.loss for r in records]
-    return config, summary, losses_by_seed
+    return cfg, losses_by_seed
 
 
 def compare_runs(paths, threshold: float, smoothing: str = "trailing",
@@ -582,15 +594,14 @@ def compare_runs(paths, threshold: float, smoothing: str = "trailing",
     runs = []
     signature = None
     for path in paths:
-        config, summary, losses_by_seed = load_run_dir(path)
+        cfg, losses_by_seed = load_run_dir(path)
         if signature is None:
-            signature = summary["task_signature"]
-        elif summary["task_signature"] != signature:
+            signature = task_signature(cfg.task_section)
+        elif task_signature(cfg.task_section) != signature:
             raise ValueError(f"{path}: task signature does not match {paths[0]}")
         steps = []
         finals = []
-        for seed in summary["seeds"]:
-            losses = losses_by_seed[seed]
+        for seed, losses in losses_by_seed.items():
             if not losses:
                 raise ValueError(f"{os.path.join(path, f'seed_{seed}.csv')}: no steps recorded")
             s = steps_to_threshold(losses, threshold, smoothing=smoothing, window=window)
@@ -600,8 +611,8 @@ def compare_runs(paths, threshold: float, smoothing: str = "trailing",
         q25, q50, q75 = (float(q) for q in np.quantile(np.asarray(finals), [0.25, 0.5, 0.75]))
         runs.append({
             "path": path,
-            "optimizer": config["optimizer"]["kind"],
-            "mode": config["optimizer"]["mode"],
+            "optimizer": cfg.optimizer_kind,
+            "mode": cfg.mode,
             "per_seed_steps_to_threshold": [None if math.isinf(s) else int(s) for s in steps],
             "median_steps_to_threshold": None if math.isinf(med) else med,
             "final_loss_quantiles": {"q25": q25, "q50": q50, "q75": q75},

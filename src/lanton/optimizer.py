@@ -51,9 +51,16 @@ __all__ = [
     "baseline_step",
     "needs_twins",
     "BASELINE_KINDS",
+    "MODES",
+    "CSV_UNSAFE",
 ]
 
 BASELINE_KINDS = ("fixed_rate_lmo", "signum", "sgd")
+MODES = ("raw", "practical")
+
+# Characters a layer name must not hold: the name is a field of each
+# telemetry CSV row, so a comma or a line break would split the row.
+CSV_UNSAFE = ",\n\r"
 
 
 class GradientError(ValueError):
@@ -70,6 +77,8 @@ class LayerSpec:
     smoothness: float | None = None
 
     def __post_init__(self):
+        if any(c in self.name for c in CSV_UNSAFE):
+            raise ValueError(f"layer {self.name!r}: a comma or line break would break the CSV")
         if any(d < 1 for d in self.shape):
             raise ValueError(f"layer {self.name}: dims must be >= 1, got {self.shape}")
         if self.group is Group.VECTOR_NORM and len(self.shape) != 1:
@@ -185,14 +194,14 @@ def cosine_schedule_lr(t: int, cfg: LantonConfig) -> float:
 def update_noise_tracker(state: LantonState, layer_name: str, g_t, other, cfg: LantonConfig) -> float:
     """Fold one squared dual-norm gradient difference into the layer tracker.
 
-    Runs only on steps with ``t % noise_update_interval == 0``; other steps
-    leave H unchanged. ``other`` is the previous gradient (option I) or the
-    twin gradient (option II); passing None skips the update, which is how
-    option I's first step behaves.
+    The step calls it only on tracker-update steps
+    (``t % noise_update_interval == 0``). ``other`` is the previous gradient
+    (option I) or the twin gradient (option II); passing None skips the
+    update, which is how option I's first step behaves.
     """
     spec = state.layer(layer_name)
     h = state.h[layer_name]
-    if state.t % cfg.noise_update_interval != 0 or other is None:
+    if other is None:
         return h
     g_t = np.asarray(g_t, dtype=np.float64)
     other = np.asarray(other, dtype=np.float64)
@@ -254,14 +263,12 @@ def _check_grads(state: LantonState, grads) -> dict[str, np.ndarray]:
 def _effective_lr(spec: LayerSpec, eta_base: float, ratio: float, cfg: LantonConfig, mode: str) -> float:
     if mode == "raw":
         return eta_base * math.sqrt(ratio)
-    if mode == "practical":
-        if spec.group is Group.HIDDEN:
-            d_out, d_in = spec.shape
-            return cfg.hidden_scale * eta_base * math.sqrt(max(d_in, d_out) * ratio)
-        if spec.group is Group.EMBEDDING_HEAD:
-            return cfg.r1 * eta_base * math.sqrt(ratio)
-        return cfg.r2 * eta_base * math.sqrt(ratio)
-    raise ValueError(f"mode must be 'raw' or 'practical', got {mode!r}")
+    if spec.group is Group.HIDDEN:
+        d_out, d_in = spec.shape
+        return cfg.hidden_scale * eta_base * math.sqrt(max(d_in, d_out) * ratio)
+    if spec.group is Group.EMBEDDING_HEAD:
+        return cfg.r1 * eta_base * math.sqrt(ratio)
+    return cfg.r2 * eta_base * math.sqrt(ratio)
 
 
 def needs_twins(kind: str, cfg: LantonConfig, t: int) -> bool:
@@ -277,7 +284,10 @@ def _step(kind: str, state: LantonState, grads, cfg: LantonConfig, mode: str, tw
     Only lanton tracks noise; the other kinds move at ratio 1. The sign and
     gradient directions are not unit-ball oracle outputs, so the practical
     per-group scales do not apply to them: they move at the base rate.
+    The mode is checked for every kind before the step writes any state.
     """
+    if mode not in MODES:
+        raise ValueError(f"mode must be 'raw' or 'practical', got {mode!r}")
     grads = _check_grads(state, grads)
     if cfg.weight_decay > 0.0 and params is None:
         raise ValueError("params are required when weight_decay > 0")
@@ -339,7 +349,6 @@ def lanton_step(
     mode: str = "raw",
     twins=None,
     params=None,
-    force_unit_ratio: bool = False,
     log_dual_norm: bool = True,
 ):
     """Advance the optimizer one step.
@@ -349,8 +358,7 @@ def lanton_step(
     on tracker-update steps under option II. ``params`` is required whenever
     weight_decay > 0, since the decay term is part of the returned delta.
     """
-    kind = "fixed_rate_lmo" if force_unit_ratio else "lanton"
-    return _step(kind, state, grads, cfg, mode, twins, params, log_dual_norm)
+    return _step("lanton", state, grads, cfg, mode, twins, params, log_dual_norm)
 
 
 def baseline_step(

@@ -42,6 +42,7 @@ __all__ = [
     "stochastic_grad",
     "gen_dataset",
     "noise_streams",
+    "layered_quadratic",
     "transformer_noise_quadratic",
     "heterogeneous_quadratic",
     "TRANSFORMER_NOISE_RADII",
@@ -84,10 +85,6 @@ class NoiseProfile:
                 raise ValueError(f"layer {name}: noise radii must be finite")
             if lo < 0 or lo > hi:
                 raise ValueError(f"layer {name}: need 0 <= sigma_lo <= sigma_hi, got ({lo}, {hi})")
-
-    @classmethod
-    def zero(cls, layers) -> "NoiseProfile":
-        return cls({spec.name: (0.0, 0.0) for spec in layers})
 
 
 @dataclass(frozen=True)
@@ -289,27 +286,21 @@ def gen_dataset(spec: DatasetSpec, seed: int) -> Dataset:
     return Dataset(features=x, labels=y)
 
 
-def _seeded_target(seed: int, index: int, shape) -> np.ndarray:
-    g = _stream(seed, _PURPOSE_TARGETS, index)
-    a = g.standard_normal(shape)
-    return a / math.sqrt(a.size)
-
-
-def _quadratic_from_radii(names_radii, shape, smoothness, seed, group=Group.HIDDEN):
-    layers = []
+def layered_quadratic(layers, seed: int = 0) -> QuadraticTask:
+    """Quadratic over ``(LayerSpec, (sigma_lo, sigma_hi))`` pairs; layer i's
+    target is drawn from the seed's i-th target stream (unit norm in mean)."""
+    specs = tuple(spec for spec, _ in layers)
     targets = {}
-    radii = {}
-    for i, (name, (lo, hi)) in enumerate(names_radii):
-        spec = LayerSpec(name, shape, group, smoothness=smoothness)
-        layers.append(spec)
-        targets[name] = _seeded_target(seed, i, shape)
-        radii[name] = (lo, hi)
-    return QuadraticTask(tuple(layers), targets, NoiseProfile(radii))
+    for i, spec in enumerate(specs):
+        a = _stream(seed, _PURPOSE_TARGETS, i).standard_normal(spec.shape)
+        targets[spec.name] = a / math.sqrt(a.size)
+    return QuadraticTask(specs, targets, NoiseProfile({spec.name: radii for spec, radii in layers}))
 
 
 def transformer_noise_quadratic(shape=(8, 8), smoothness: float = 1.0, seed: int = 0) -> QuadraticTask:
     """Hidden-group quadratic with the transformer per-role noise radii."""
-    return _quadratic_from_radii(sorted(TRANSFORMER_NOISE_RADII.items()), shape, smoothness, seed)
+    return layered_quadratic([(LayerSpec(name, tuple(shape), Group.HIDDEN, smoothness), radii)
+                              for name, radii in sorted(TRANSFORMER_NOISE_RADII.items())], seed)
 
 
 def heterogeneous_quadratic(n_layers: int = 6, spread: float = 100.0,
@@ -318,8 +309,8 @@ def heterogeneous_quadratic(n_layers: int = 6, spread: float = 100.0,
     """Hidden-group quadratic whose upper noise radii span a `spread` factor."""
     if n_layers < 2:
         raise ValueError("need at least 2 layers")
-    names_radii = []
+    layers = []
     for i in range(n_layers):
         hi = sigma_hi_base * spread ** (i / (n_layers - 1))
-        names_radii.append((f"layer{i}", (lo_frac * hi, hi)))
-    return _quadratic_from_radii(names_radii, shape, smoothness, seed)
+        layers.append((LayerSpec(f"layer{i}", tuple(shape), Group.HIDDEN, smoothness), (lo_frac * hi, hi)))
+    return layered_quadratic(layers, seed)

@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from lanton.cli import main
 
 
@@ -139,3 +141,65 @@ def test_bad_seed_override(tmp_path, capsys):
     assert main(["--seed-override", "1,x", "run", cfg]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config"
+
+
+def test_run_replays_its_config_json(tmp_path, capsys):
+    assert main(["run", _write_config(tmp_path, seeds=[0, 1], loss_threshold=5.0)]) == 0
+    outdir = tmp_path / "run"
+    first = {n: (outdir / n).read_bytes() for n in os.listdir(outdir)}
+    assert sorted(first) == ["config.json", "seed_0.csv", "seed_1.csv", "summary.json"]
+    for n in first:
+        (outdir / n).unlink()
+    (tmp_path / "replay.json").write_bytes(first["config.json"])
+    assert main(["run", str(tmp_path / "replay.json")]) == 0
+    capsys.readouterr()
+    assert {n: (outdir / n).read_bytes() for n in os.listdir(outdir)} == first
+
+
+def _two_runs(tmp_path):
+    dirs = [str(tmp_path / name) for name in ("a", "b")]
+    for d in dirs:
+        assert main(["run", _write_config(tmp_path, output_path=d)]) == 0
+    return dirs
+
+
+def _readers(a, b):
+    return (["diagnose", a], ["compare", a, b, "--threshold", "0.5"])
+
+
+def test_readers_do_not_need_summary_json(tmp_path, capsys):
+    a, b = _two_runs(tmp_path)
+    capsys.readouterr()
+    before = []
+    for argv in _readers(a, b):
+        assert main(argv) == 0
+        before.append(capsys.readouterr().out)
+    os.remove(os.path.join(a, "summary.json"))
+    with open(os.path.join(b, "summary.json"), "w") as f:
+        f.write("[]")
+    for argv, out in zip(_readers(a, b), before):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("edit,field", [
+    (lambda c: c["optimizer"].pop("beta2"), "optimizer.beta2"),
+    (lambda c: c["task"].pop("preset"), "task.shape"),
+    (lambda c: c.pop("seeds"), "seeds"),
+    (lambda c: c["optimizer"].update(noise_option="III"), "optimizer.noise_option"),
+    (lambda c: c.clear(), "task"),
+])
+def test_readers_bad_config_json_named(tmp_path, capsys, edit, field):
+    a, b = _two_runs(tmp_path)
+    path = os.path.join(a, "config.json")
+    with open(path) as f:
+        config = json.load(f)
+    edit(config)
+    with open(path, "w") as f:
+        json.dump(config, f)
+    capsys.readouterr()
+    for argv in _readers(a, b):
+        assert main(argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["field"]) == ("config", field)
+        assert path in err["message"]

@@ -3,6 +3,7 @@ import math
 import os
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from lanton.harness import (
@@ -15,8 +16,10 @@ from lanton.harness import (
     compare_runs,
     emit_metrics,
     execute_run,
+    load_run_dir,
     parse_config,
     read_metrics,
+    read_run_config,
     run_experiment,
     steps_to_threshold,
     task_signature,
@@ -89,6 +92,19 @@ class TestParseConfig:
         task = build_task(cfg.task_section)
         assert {l.name for l in task.layers} == {"a", "v"}
         assert task.noise.radii["v"] == (0.0, 0.5)
+
+    def test_preset_equals_its_layer_list(self):
+        preset = build_task(parse_config(json.dumps(_stub_config(task={
+            "kind": "quadratic", "preset": "transformer", "shape": [3, 2], "smoothness": 2.0, "seed": 5,
+        }))).task_section)
+        listed = build_task(parse_config(json.dumps(_stub_config(task={
+            "kind": "quadratic", "seed": 5, "layers": [
+                {"name": spec.name, "shape": [3, 2], "group": "hidden", "smoothness": 2.0,
+                 "sigma_lo": preset.noise.radii[spec.name][0], "sigma_hi": preset.noise.radii[spec.name][1]}
+                for spec in preset.layers],
+        }))).task_section)
+        assert listed.layers == preset.layers and listed.noise == preset.noise
+        assert all(np.array_equal(listed.targets[k], v) for k, v in preset.targets.items())
 
     def test_layer_group_shape_arity(self):
         raw = _stub_config(task={"kind": "quadratic", "layers": [
@@ -279,15 +295,15 @@ class TestStepsToThreshold:
             steps_to_threshold([1.0], 0.5, smoothing="savgol")
 
 
-def _fabricate_run(path, losses_by_seed, signature, kind="lanton"):
+def _fabricate_run(path, losses_by_seed, task_seed=0, kind="lanton"):
+    """A run directory with the given losses: the config echo and the seed
+    CSVs, which are all that compare reads."""
     os.makedirs(path)
-    config = {"task": {"sig": signature}, "optimizer": {"kind": kind, "mode": "raw"}}
+    cfg = parse_config(json.dumps(_stub_config(
+        task={"kind": "quadratic", "preset": "transformer", "seed": task_seed},
+        optimizer={"kind": kind}, seeds=list(losses_by_seed), output_path=path)))
     with open(os.path.join(path, "config.json"), "w") as f:
-        json.dump(config, f)
-    summary = {"task_signature": signature, "seeds": list(losses_by_seed),
-               "optimizer": {"kind": kind, "mode": "raw"}}
-    with open(os.path.join(path, "summary.json"), "w") as f:
-        json.dump(summary, f)
+        json.dump(canonical_config(cfg), f)
     for seed, losses in losses_by_seed.items():
         records = [
             RunRecord(step=t, loss=loss, layers={
@@ -302,8 +318,8 @@ class TestCompareRuns:
         losses = {0: [2.0] * 50 + [0.0] * 50}
         a = str(tmp_path / "a")
         b = str(tmp_path / "b")
-        _fabricate_run(a, losses, "sig")
-        _fabricate_run(b, losses, "sig")
+        _fabricate_run(a, losses)
+        _fabricate_run(b, losses)
         report = compare_runs([a, b], threshold=1.0)
         assert all(s["speedup"] == pytest.approx(1.0) for s in report["speedups"])
 
@@ -312,8 +328,8 @@ class TestCompareRuns:
         slow = {0: [2.0] * 150 + [0.0] * 50, 1: [2.0] * 150 + [0.0] * 50}
         a = str(tmp_path / "a")
         b = str(tmp_path / "b")
-        _fabricate_run(a, fast, "sig")
-        _fabricate_run(b, slow, "sig", kind="sgd")
+        _fabricate_run(a, fast)
+        _fabricate_run(b, slow, kind="sgd")
         report = compare_runs([a, b], threshold=1.0, smoothing="raw")
         by_pair = {(s["candidate"], s["baseline"]): s["speedup"] for s in report["speedups"]}
         assert by_pair[(a, b)] == pytest.approx(1.5)
@@ -323,8 +339,8 @@ class TestCompareRuns:
         losses = {0: [2.0, 1.5, 1.2]}
         a = str(tmp_path / "a")
         b = str(tmp_path / "b")
-        _fabricate_run(a, losses, "sig")
-        _fabricate_run(b, losses, "sig")
+        _fabricate_run(a, losses)
+        _fabricate_run(b, losses)
         report = compare_runs([a, b], threshold=0.5)
         assert report["runs"][0]["median_steps_to_threshold"] is None
         assert all(s["speedup"] is None for s in report["speedups"])
@@ -332,10 +348,43 @@ class TestCompareRuns:
     def test_signature_mismatch(self, tmp_path):
         a = str(tmp_path / "a")
         b = str(tmp_path / "b")
-        _fabricate_run(a, {0: [1.0]}, "sig1")
-        _fabricate_run(b, {0: [1.0]}, "sig2")
-        with pytest.raises(ValueError, match="signature"):
+        _fabricate_run(a, {0: [1.0]}, task_seed=1)
+        _fabricate_run(b, {0: [1.0]}, task_seed=2)
+        with pytest.raises(ValueError, match="task signature does not match"):
             compare_runs([a, b], threshold=0.5)
+
+    def test_reads_typed_config_without_summary(self, tmp_path):
+        a = str(tmp_path / "a")
+        _fabricate_run(a, {3: [1.0], 4: [2.0]}, kind="sgd")
+        cfg, losses = load_run_dir(a)
+        assert cfg == read_run_config(a) and cfg.optimizer_kind == "sgd"
+        assert losses == {3: [1.0], 4: [2.0]}
+        assert not os.path.exists(os.path.join(a, "summary.json"))
+
+    @pytest.mark.parametrize("key", ["beta2", "alpha"])
+    def test_run_config_missing_key_named(self, tmp_path, key):
+        # A default must not stand in for the value the run used.
+        a = str(tmp_path / "a")
+        _fabricate_run(a, {0: [1.0]})
+        path = os.path.join(a, "config.json")
+        with open(path) as f:
+            echo = json.load(f)
+        del echo["optimizer"][key]
+        with open(path, "w") as f:
+            json.dump(echo, f)
+        with pytest.raises(ConfigError) as exc:
+            read_run_config(a)
+        assert exc.value.field == f"optimizer.{key}" and path in exc.value.message
+
+    def test_run_config_parse_error_named(self, tmp_path):
+        a = str(tmp_path / "a")
+        _fabricate_run(a, {0: [1.0]})
+        path = os.path.join(a, "config.json")
+        with open(path, "w") as f:
+            f.write("[]")
+        with pytest.raises(ConfigError) as exc:
+            read_run_config(a)
+        assert exc.value.field == "<document>" and path in exc.value.message
 
     def test_needs_two_paths(self, tmp_path):
         with pytest.raises(ValueError):

@@ -82,14 +82,15 @@ class TestNoiseTracker:
             assert state.h["v"] == pytest.approx(c * (1.0 - 0.9 ** k), rel=1e-12)
 
     def test_interval_skips(self):
-        cfg = _cfg(beta2=0.9, noise_update_interval=10)
+        # The step owns the interval: off-interval steps leave H unchanged.
+        cfg = _cfg(beta2=0.9, noise_option="II", noise_update_interval=10)
         state = init_state([LayerSpec("v", (4,), Group.VECTOR_NORM)])
         state.t = 7
-        h = update_noise_tracker(state, "v", np.ones(4), np.zeros(4), cfg)
-        assert h == 0.0
+        lanton_step(state, {"v": np.ones(4)}, cfg, twins={"v": np.zeros(4)})
+        assert state.h["v"] == 0.0
         state.t = 10
-        h = update_noise_tracker(state, "v", np.ones(4), np.zeros(4), cfg)
-        assert h > 0.0
+        lanton_step(state, {"v": np.ones(4)}, cfg, twins={"v": np.zeros(4)})
+        assert state.h["v"] > 0.0
 
     def test_none_other_is_noop(self):
         cfg = _cfg(noise_update_interval=1)
@@ -273,6 +274,25 @@ class TestLantonStep:
         with pytest.raises(ValueError):
             lanton_step(state, g, cfg, mode="turbo", twins=dict(g))
 
+    @pytest.mark.parametrize("kind", ["lanton", "fixed_rate_lmo", "signum", "sgd"])
+    def test_unknown_mode_leaves_state_unchanged(self, kind):
+        def step(grads, **kw):
+            if kind == "lanton":
+                return lanton_step(state, grads, cfg, **kw)
+            return baseline_step(kind, state, grads, cfg, **kw)
+
+        cfg = _cfg(noise_option="I", noise_update_interval=1)
+        state = init_state(_hidden_layers(2))
+        step({l.name: np.eye(3) for l in state.layers})
+        copy = lambda d: {k: None if v is None else v.copy() for k, v in d.items()}
+        before = (state.t, dict(state.h), copy(state.momentum), copy(state.prev_grad))
+        with pytest.raises(ValueError, match="mode"):
+            step({l.name: 2.0 * np.eye(3) for l in state.layers}, mode="bogus")
+        assert (state.t, state.h) == before[:2]
+        for now, then in ((state.momentum, before[2]), (state.prev_grad, before[3])):
+            for k, v in then.items():
+                assert (v is None and now[k] is None) or np.array_equal(now[k], v)
+
     def test_gradient_cover_mismatch(self):
         cfg = _cfg()
         state = init_state(_hidden_layers(2))
@@ -373,6 +393,12 @@ def test_layer_spec_validation():
         LayerSpec("bad", (2, 2), Group.VECTOR_NORM)
     with pytest.raises(ValueError):
         LayerSpec("bad", (4,), Group.HIDDEN)
+
+
+@pytest.mark.parametrize("name", ["a,b", "a\nb", "a\rb"])
+def test_layer_spec_rejects_csv_unsafe_name(name):
+    with pytest.raises(ValueError, match="CSV"):
+        LayerSpec(name, (2, 2), Group.HIDDEN)
 
 
 def test_config_validation():

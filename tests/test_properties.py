@@ -1,0 +1,217 @@
+"""Property tests of the config round trip and of config robustness.
+
+Generated configs cover the four task forms (the two quadratic presets, an
+explicit layer list, the MLP) and every optimizer kind, with each optional
+key present or left to its default.
+"""
+
+import io
+import json
+import os
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lanton.cli import main
+from lanton.harness import ConfigError, canonical_config, parse_config
+
+_SEED = st.integers(0, 2**32)
+_DIM = st.integers(1, 6)
+_POSITIVE = st.floats(1e-6, 1e3)
+_UNIT = st.floats(0.0, 1.0)
+_NAME = st.text(alphabet="ab_.-:; \té", min_size=1, max_size=5)
+
+
+def _some(draw, optional: dict) -> dict:
+    """A random subset of the optional keys; the rest take their defaults."""
+    return {k: v for k, v in optional.items() if draw(st.booleans())}
+
+
+@st.composite
+def _radii(draw):
+    return sorted([draw(_UNIT), draw(_UNIT)])
+
+
+@st.composite
+def _layer(draw, name):
+    group = draw(st.sampled_from(["hidden", "embedding_head", "vector_norm"]))
+    arity = 1 if group == "vector_norm" else 2
+    layer = {"name": name, "group": group, "shape": [draw(_DIM) for _ in range(arity)]}
+    layer.update(_some(draw, {"smoothness": draw(_POSITIVE)}))
+    if draw(st.booleans()):
+        layer["sigma_lo"], layer["sigma_hi"] = draw(_radii())
+    return layer
+
+
+@st.composite
+def _task(draw):
+    form = draw(st.sampled_from(["transformer", "heterogeneous", "layers", "mlp"]))
+    if form == "mlp":
+        task = {"kind": "mlp", "widths": [draw(_DIM) for _ in range(3)]}
+        task.update(_some(draw, {
+            "n_samples": draw(st.integers(1, 64)), "dataset_seed": draw(_SEED),
+            "label_noise": draw(_UNIT), "seed": draw(_SEED),
+            "noise": _some(draw, {"w1": draw(_radii()), "w2": draw(_radii())}),
+        }))
+        return task
+    task = {"kind": "quadratic"}
+    task.update(_some(draw, {"seed": draw(_SEED)}))
+    if form == "layers":
+        names = draw(st.lists(_NAME, min_size=1, max_size=4, unique=True))
+        task["layers"] = [draw(_layer(name)) for name in names]
+        return task
+    task["preset"] = form
+    task.update(_some(draw, {"shape": [draw(_DIM), draw(_DIM)], "smoothness": draw(_POSITIVE)}))
+    if form == "heterogeneous":
+        task.update(_some(draw, {
+            "n_layers": draw(st.integers(2, 8)), "spread": draw(st.floats(1.0, 1e4)),
+            "sigma_hi_base": draw(_UNIT), "lo_frac": draw(_UNIT),
+        }))
+    return task
+
+
+@st.composite
+def _optimizer(draw, total_steps):
+    below_one = st.floats(0.0, 1.0, exclude_max=True)
+    opt = {"kind": draw(st.sampled_from(["lanton", "fixed_rate_lmo", "signum", "sgd"]))}
+    opt.update(_some(draw, {
+        "mode": draw(st.sampled_from(["raw", "practical"])),
+        "beta1": draw(below_one), "beta2": draw(below_one),
+        "alpha": draw(st.one_of(st.none(), _POSITIVE)),
+        "warmup_steps": draw(st.integers(0, total_steps - 1)),
+        "weight_decay": draw(_UNIT), "r1": draw(_POSITIVE), "r2": draw(_POSITIVE),
+        "hidden_scale": draw(_POSITIVE), "noise_option": draw(st.sampled_from(["I", "II"])),
+        "noise_update_interval": draw(st.integers(1, 20)), "ns_steps": draw(st.integers(1, 8)),
+        "oracle_polar": draw(st.booleans()),
+        "embedding_dual": draw(st.sampled_from(["default", "alternate"])),
+    }))
+    if draw(st.booleans()):  # eta_min <= eta_max only holds when both are set
+        opt["eta_min"], opt["eta_max"] = sorted([draw(_POSITIVE), draw(_POSITIVE)])
+    return opt
+
+
+@st.composite
+def configs(draw):
+    total_steps = draw(st.integers(1, 50))
+    raw = {"task": draw(_task()), "optimizer": draw(_optimizer(total_steps))}
+    raw.update(_some(draw, {
+        "total_steps": total_steps,
+        "seeds": draw(st.lists(st.integers(0, 100), min_size=1, max_size=4, unique=True)),
+        "telemetry": _some(draw, {k: draw(st.booleans()) for k in ("h", "ratio", "dual_grad_norm")}),
+        "output_path": draw(_NAME),
+        "loss_threshold": draw(st.one_of(st.none(), st.floats(-10.0, 10.0))),
+    }))
+    return raw  # warmup_steps < total_steps also holds for the default 1000
+
+
+def _echo(cfg) -> str:
+    """The bytes a run writes as its config.json."""
+    return json.dumps(canonical_config(cfg), sort_keys=True, indent=2) + "\n"
+
+
+def _key_paths(node, prefix=()):
+    """Every dict key in a JSON document, as a path of keys and list indices."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        if isinstance(node, dict):
+            yield prefix + (key,)
+        yield from _key_paths(value, prefix + (key,))
+
+
+# Small values only: a mutated config may be run, so no huge shape or count.
+_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.sampled_from([0.5, -0.5, 1e308]),
+    st.sampled_from([float("nan"), float("inf")]), st.text(alphabet="Ixraw,", max_size=3),
+    st.lists(st.integers(-2, 4), max_size=3), st.just({}), st.just(["x"]),
+)
+
+
+@st.composite
+def mutations(draw, raw):
+    """A copy of a config with one key deleted or set to another value."""
+    doc = json.loads(json.dumps(raw))
+    path = draw(st.sampled_from(sorted(_key_paths(doc), key=str)))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    delete = draw(st.booleans())
+    if delete:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(_VALUES)
+    return doc, delete
+
+
+@given(configs())
+def test_echo_round_trips(raw):
+    cfg = parse_config(json.dumps(raw))
+    echo = _echo(cfg)
+    again = parse_config(echo)
+    assert again == cfg
+    assert _echo(again) == echo
+
+
+@given(st.data())
+def test_mutations_raise_only_config_error(data):
+    raw = data.draw(configs())
+    doc, _ = data.draw(mutations(raw))
+    try:
+        parse_config(json.dumps(doc))
+    except ConfigError as exc:
+        assert exc.field
+
+
+@pytest.fixture(scope="module")
+def run_dirs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("runs")
+    raw = {"task": {"kind": "quadratic", "preset": "transformer", "shape": [2, 3]},
+           "optimizer": {"kind": "lanton", "noise_option": "II", "noise_update_interval": 1},
+           "seeds": [0], "total_steps": 4}
+    dirs = []
+    for name in ("a", "b"):
+        path = root / name
+        (root / f"{name}.json").write_text(json.dumps(dict(raw, output_path=str(path))))
+        with redirect_stdout(io.StringIO()):
+            assert main(["run", str(root / f"{name}.json")]) == 0
+        dirs.append(str(path))
+    return dirs
+
+
+def _cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_mutated_run_config_gives_json_error(run_dirs, data):
+    a, b = run_dirs
+    config_path = os.path.join(a, "config.json")
+    with open(config_path, encoding="utf-8") as f:
+        original = f.read()
+    doc, deleted = data.draw(mutations(json.loads(original)))
+    text = json.dumps(doc)
+    try:
+        parse_config(text)
+        invalid = deleted  # a run's config.json lists every key
+    except ConfigError:
+        invalid = True
+    try:
+        with open(config_path, "w", encoding="utf-8") as f:
+            f.write(text)
+        for argv in (["diagnose", a], ["compare", a, b, "--threshold", "0.5"]):
+            rc, err = _cli(argv)
+            assert rc in (0, 1)
+            if rc == 1:
+                payload = json.loads(err)
+                assert payload["error"] and payload["message"]
+            if invalid:
+                assert rc == 1 and payload["error"] == "config" and payload["field"]
+                assert config_path in payload["message"]
+    finally:
+        with open(config_path, "w", encoding="utf-8") as f:
+            f.write(original)
