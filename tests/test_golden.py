@@ -124,3 +124,47 @@ def test_golden_bytes(kind, mode, tmp_path, monkeypatch):
     got = tuple(_digest(tmp_path / "run" / name)
                 for name in ("config.json", "seed_0.csv", "summary.json"))
     assert got == GOLDEN[f"{kind}-{mode}"]
+
+
+# An MLP task, whose gradients come from backpropagation, not a closed form.
+_MLP_TASK = {"kind": "mlp", "widths": [6, 16, 3], "n_samples": 48, "dataset_seed": 2,
+             "label_noise": 0.05, "seed": 1,
+             "noise": {"w1": [0.002, 0.004], "w2": [0.05, 0.2]}}
+
+_MLP_KINDS = {
+    "lanton_I": {"kind": "lanton", "noise_option": "I", "noise_update_interval": 3},
+    "fixed_rate_lmo": {"kind": "fixed_rate_lmo"},
+}
+
+# sha256 of (config.json, seed_0.csv, seed_1.csv, summary.json) per kind.
+GOLDEN_MLP = {
+    "fixed_rate_lmo": (
+        "6e18e19de90f7c3d246ebecb2e192777f1f41a6562735f6b91daf5b9c6aed259",
+        "b2b9b1acdab2e2d0bc1e147f6188a93124f686151cdd7edb7a4cbf71e7f382cd",
+        "531faf5e526977d59ada11c96c42b2726e12167cf4a2f860c09a122bb137dac2",
+        "ecd998c16f213dba4c89828954a0a18061ba3445c8c3adef3e2a6300897ea8bc",
+    ),
+    "lanton_I": (
+        "99300e25312820c4b7ed688e6cc3bc21b72a3a12e7f56c95226ae751a3a67946",
+        "ef4ab8368f49d751a08e783f2b5b70512e51f8e2ae76ee2d50d41a99465bba1a",
+        "574ae18a28c17ecd8f065f1af38b8fa32e7867447f1f5a4f0a52d4c6fa4c0787",
+        "823158a52deab8a2cf03e7856636875a6e183b39010f88807425015dd7f6f01c",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_MLP_KINDS))
+def test_golden_mlp_bytes(kind, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = parse_config(json.dumps({
+        "task": _MLP_TASK,
+        "optimizer": {**_MLP_KINDS[kind], "eta_max": 0.05, "eta_min": 0.005},
+        "seeds": [0, 1],
+        "total_steps": 20,
+        "output_path": "run",
+        "loss_threshold": 0.5,
+    }))
+    run_experiment(cfg)
+    got = tuple(_digest(tmp_path / "run" / name)
+                for name in ("config.json", "seed_0.csv", "seed_1.csv", "summary.json"))
+    assert got == GOLDEN_MLP[kind]

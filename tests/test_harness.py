@@ -431,6 +431,20 @@ class TestRunExperiment:
         parallel = {name: (outdir / name).read_bytes() for name in os.listdir(outdir)}
         assert serial == parallel
 
+    def test_mlp_workers_do_not_change_bytes(self, tmp_path):
+        # The MLP gradient's large products release the GIL, so seeds on
+        # different threads really overlap; any state they shared would show.
+        cfg = self._cfg(tmp_path, seeds=[0, 1, 2, 3], total_steps=30,
+                        task={"kind": "mlp", "widths": [16, 64, 4], "n_samples": 512,
+                              "noise": {"w1": [0.001, 0.002], "w2": [0.01, 0.05]}},
+                        optimizer={"kind": "lanton", "noise_option": "I", "noise_update_interval": 2})
+        run_experiment(cfg, workers=1)
+        outdir = tmp_path / "run"
+        serial = {name: (outdir / name).read_bytes() for name in os.listdir(outdir)}
+        run_experiment(cfg, workers=3)
+        parallel = {name: (outdir / name).read_bytes() for name in os.listdir(outdir)}
+        assert serial == parallel
+
     def test_threshold_in_summary(self, tmp_path):
         cfg = self._cfg(tmp_path, loss_threshold=1.0, total_steps=40)
         summary, _ = run_experiment(cfg)
