@@ -27,6 +27,7 @@ from .harness import (
     read_metrics,
     read_run_config,
     run_experiment,
+    _load_document,
     _write_text_atomic,
 )
 
@@ -152,7 +153,7 @@ def _set_path(obj: dict, dotted: str, value) -> None:
 
 def _cmd_sweep(args) -> int:
     with open(args.config, "r", encoding="utf-8") as f:
-        base_raw = json.load(f)
+        base_raw = _load_document(f.read())
     with open(args.grid, "r", encoding="utf-8") as f:
         grid = json.load(f)
     if not isinstance(grid, dict) or not grid:

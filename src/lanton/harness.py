@@ -245,18 +245,24 @@ def _parse_optimizer(section, total_steps: int, path: str = "optimizer") -> tupl
         raise ConfigError(f"{path}.{exc.field}", exc.message) from None
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a JSON experiment config, filling defaults.
-
-    Unknown keys and out-of-range values are rejected with the offending
-    field path in the message.
-    """
+def _load_document(text: str) -> dict:
+    """The top-level object of a JSON config, or a ConfigError at <document>."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError("<document>", f"malformed JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("<document>", "top level must be an object")
+    return raw
+
+
+def parse_config(text: str) -> ExperimentConfig:
+    """Parse and validate a JSON experiment config, filling defaults.
+
+    Unknown keys and out-of-range values are rejected with the offending
+    field path in the message.
+    """
+    raw = _load_document(text)
     _check_keys(raw, _TOP_KEYS, "")
     task_section = _parse_task(_require(raw, "task", ""))
     total_steps = check_integer(raw.get("total_steps", 1000), "total_steps", lo=1)
@@ -361,9 +367,12 @@ def execute_run(cfg: ExperimentConfig, seed: int, task=None) -> tuple[list[RunRe
     opt = cfg.lanton
     records: list[RunRecord] = []
     aborted_at = None
+    # The seed's scratch arrays: reused by every step, freed with the seed,
+    # never shared with another seed's thread.
+    work: dict = {}
     for t in range(cfg.total_steps):
         tick = time.perf_counter_ns()
-        loss, exact = value_grad(task, params)
+        loss, exact = value_grad(task, params, work)
         if not math.isfinite(loss):
             aborted_at = t
             break
@@ -470,8 +479,12 @@ def emit_metrics(records, path) -> None:
 
 def read_metrics(path) -> list[RunRecord]:
     """Re-read an emitted CSV into records (wall times are not persisted)."""
+    # Split on LF alone, the only line break the writer emits: a layer name
+    # may hold other characters that str.splitlines() would break at.
     with open(path, "r", encoding="utf-8", newline="\n") as f:
-        lines = f.read().splitlines()
+        lines = f.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"{path}: missing or unexpected header")
     records: list[RunRecord] = []

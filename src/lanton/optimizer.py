@@ -244,18 +244,19 @@ class LayerStats:
     dual_grad_norm: float
 
 
-def _check_grads(state: LantonState, grads) -> dict[str, np.ndarray]:
-    """The gradients as float64 arrays, once their cover, shapes and values pass."""
+def _check_grads(state: LantonState, grads, what: str = "gradient") -> dict[str, np.ndarray]:
+    """The gradients as float64 arrays, once their cover, shapes and values
+    pass; ``what`` names them in the error messages."""
     names = {l.name for l in state.layers}
     if set(grads) != names:
-        raise ValueError(f"gradients for {sorted(set(grads))} do not cover layers {sorted(names)}")
+        raise ValueError(f"{what}s for {sorted(set(grads))} do not cover layers {sorted(names)}")
     out = {}
     for spec in state.layers:
         g = np.asarray(grads[spec.name], dtype=np.float64)
         if g.shape != tuple(spec.shape):
-            raise ValueError(f"layer {spec.name}: gradient shape {g.shape} != {spec.shape}")
-        if not np.all(np.isfinite(g)):
-            raise GradientError(f"non-finite gradient in layer {spec.name}")
+            raise ValueError(f"layer {spec.name}: {what} shape {g.shape} != {spec.shape}")
+        if not np.isfinite(g).all():
+            raise GradientError(f"non-finite {what} in layer {spec.name}")
         out[spec.name] = g
     return out
 
@@ -284,11 +285,16 @@ def _step(kind: str, state: LantonState, grads, cfg: LantonConfig, mode: str, tw
     Only lanton tracks noise; the other kinds move at ratio 1. The sign and
     gradient directions are not unit-ball oracle outputs, so the practical
     per-group scales do not apply to them: they move at the base rate.
-    The mode is checked for every kind before the step writes any state.
+    The mode, the gradients and lanton's twins are checked before the step
+    writes any state.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be 'raw' or 'practical', got {mode!r}")
     grads = _check_grads(state, grads)
+    if needs_twins(kind, cfg, state.t):
+        if twins is None:
+            raise ValueError("option II needs twin gradients on tracker-update steps")
+        twins = _check_grads(state, twins, "twin gradient")
     if cfg.weight_decay > 0.0 and params is None:
         raise ValueError("params are required when weight_decay > 0")
     eta_base = cosine_schedule_lr(state.t, cfg)
@@ -302,16 +308,9 @@ def _step(kind: str, state: LantonState, grads, cfg: LantonConfig, mode: str, tw
     ratios = None
     if kind == "lanton":
         if state.t % cfg.noise_update_interval == 0:
+            others = twins if cfg.noise_option == "II" else state.prev_grad
             for spec in state.layers:
-                if cfg.noise_option == "II":
-                    if twins is None or spec.name not in twins:
-                        raise ValueError(
-                            f"layer {spec.name}: option II needs a twin gradient on tracker-update steps"
-                        )
-                    other = twins[spec.name]
-                else:
-                    other = state.prev_grad[spec.name]
-                update_noise_tracker(state, spec.name, grads[spec.name], other, cfg)
+                update_noise_tracker(state, spec.name, grads[spec.name], others[spec.name], cfg)
         if cfg.noise_option == "I":
             for spec in state.layers:
                 state.prev_grad[spec.name] = grads[spec.name].copy()

@@ -190,8 +190,24 @@ def quadratic_value_grad(task: QuadraticTask, x: dict[str, np.ndarray]):
     return loss, grads
 
 
-def mlp_value_grad(task: MlpTask, params: dict[str, np.ndarray]):
-    """Forward pass, MSE loss and exact backpropagated gradients."""
+def _scratch(work: dict, key: str, shape) -> np.ndarray:
+    """The workspace's float64 array under ``key``, made on first use or when
+    the shape it needs changes."""
+    buf = work.get(key)
+    if buf is None or buf.shape != shape:
+        buf = work[key] = np.empty(shape)
+    return buf
+
+
+def mlp_value_grad(task: MlpTask, params: dict[str, np.ndarray], work: dict | None = None):
+    """Forward pass, MSE loss and exact backpropagated gradients.
+
+    ``work`` is an optional workspace, a dict that keeps the two (n, h)
+    arrays of the pass between calls. A caller that passes the same dict on
+    every step saves allocating them, and paging them in again, each time;
+    one dict must not be shared by concurrent calls. Without it the arrays
+    are fresh. The returned gradients never alias the workspace.
+    """
     i, h, o = task.widths
     w1 = np.asarray(params["w1"], dtype=np.float64)
     w2 = np.asarray(params["w2"], dtype=np.float64)
@@ -200,9 +216,9 @@ def mlp_value_grad(task: MlpTask, params: dict[str, np.ndarray]):
     x = task.dataset.features
     y = task.dataset.labels
     n = x.shape[0]
-    # The (n, h) arrays are updated in place: each fresh one is a large block
-    # the allocator may have handed back to the OS, so it is paged in again.
-    hidden = x @ w1.T                     # (n, h)
+    if work is None:
+        work = {}
+    hidden = np.matmul(x, w1.T, out=_scratch(work, "mlp_hidden", (n, h)))
     np.tanh(hidden, out=hidden)
     pred = hidden @ w2.T                  # (n, o)
     resid = pred - y
@@ -210,7 +226,7 @@ def mlp_value_grad(task: MlpTask, params: dict[str, np.ndarray]):
     # d loss / d pred
     r = resid * (2.0 / (n * o))
     g_w2 = r.T @ hidden
-    g_hidden = r @ w2
+    g_hidden = np.matmul(r, w2, out=_scratch(work, "mlp_g_hidden", (n, h)))
     np.multiply(hidden, hidden, out=hidden)
     np.subtract(1.0, hidden, out=hidden)  # tanh' = 1 - tanh^2
     g_hidden *= hidden
@@ -218,11 +234,13 @@ def mlp_value_grad(task: MlpTask, params: dict[str, np.ndarray]):
     return loss, {"w1": g_w1, "w2": g_w2}
 
 
-def value_grad(task, x):
+def value_grad(task, x, work: dict | None = None):
+    """Exact loss and per-layer gradients; ``work`` is the MLP's optional
+    workspace (see :func:`mlp_value_grad`), which the quadratic ignores."""
     if isinstance(task, QuadraticTask):
         return quadratic_value_grad(task, x)
     if isinstance(task, MlpTask):
-        return mlp_value_grad(task, x)
+        return mlp_value_grad(task, x, work)
     raise TypeError(f"unsupported task type {type(task).__name__}")
 
 

@@ -203,3 +203,33 @@ def test_readers_bad_config_json_named(tmp_path, capsys, edit, field):
         err = json.loads(capsys.readouterr().err)
         assert (err["error"], err["field"]) == ("config", field)
         assert path in err["message"]
+
+
+@pytest.mark.parametrize("document", ["[]", '"run"', "3", "{"])
+def test_sweep_config_not_an_object(tmp_path, capsys, document):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(document)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"optimizer.eta_max": [0.1]}))
+    assert main(["sweep", str(cfg), "--grid", str(grid)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["field"]) == ("config", "<document>")
+    assert main(["run", str(cfg)]) == 1
+    assert json.loads(capsys.readouterr().err) == err
+
+
+@pytest.mark.parametrize("name", ["a\u2028b", "a\x0cb", "a\x85b", "a\x0bb", "a\x1cb", "a\u2029b"])
+def test_layer_name_with_unicode_line_break_reads_back(tmp_path, capsys, name):
+    # Not a CSV line break (the writer ends rows with LF only), so the name
+    # is valid and every reader must take the run directory back.
+    layer = {"name": name, "shape": [2, 3], "group": "hidden", "sigma_lo": 0.01, "sigma_hi": 0.02}
+    dirs = []
+    for label in ("a", "b"):
+        dirs.append(str(tmp_path / label))
+        assert main(["run", _write_config(tmp_path, output_path=dirs[-1], total_steps=5,
+                                          task={"kind": "quadratic", "layers": [layer]})]) == 0
+    capsys.readouterr()
+    for argv in _readers(*dirs):
+        assert main(argv) == 0, capsys.readouterr().err
+        report = json.loads(capsys.readouterr().out)
+    assert len(report["runs"]) == 2

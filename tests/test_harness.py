@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -432,8 +433,9 @@ class TestRunExperiment:
         assert serial == parallel
 
     def test_mlp_workers_do_not_change_bytes(self, tmp_path):
-        # The MLP gradient's large products release the GIL, so seeds on
-        # different threads really overlap; any state they shared would show.
+        # The MLP gradient's large products release the GIL and a short
+        # switch interval interleaves the rest, so seeds on different threads
+        # really overlap; any state they shared would show.
         cfg = self._cfg(tmp_path, seeds=[0, 1, 2, 3], total_steps=30,
                         task={"kind": "mlp", "widths": [16, 64, 4], "n_samples": 512,
                               "noise": {"w1": [0.001, 0.002], "w2": [0.01, 0.05]}},
@@ -441,7 +443,12 @@ class TestRunExperiment:
         run_experiment(cfg, workers=1)
         outdir = tmp_path / "run"
         serial = {name: (outdir / name).read_bytes() for name in os.listdir(outdir)}
-        run_experiment(cfg, workers=3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run_experiment(cfg, workers=3)
+        finally:
+            sys.setswitchinterval(interval)
         parallel = {name: (outdir / name).read_bytes() for name in os.listdir(outdir)}
         assert serial == parallel
 

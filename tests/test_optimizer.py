@@ -29,6 +29,20 @@ def _hidden_layers(n=2, shape=(3, 3)):
     return [LayerSpec(f"l{i}", shape, Group.HIDDEN, smoothness=1.0) for i in range(n)]
 
 
+def _snapshot(state):
+    copy = lambda d: {k: None if v is None else v.copy() for k, v in d.items()}
+    return state.t, dict(state.h), copy(state.momentum), copy(state.prev_grad)
+
+
+def _assert_unchanged(state, before):
+    """The step counter, trackers, momenta and previous gradients equal a snapshot."""
+    assert (state.t, state.h) == before[:2]
+    for now, then in ((state.momentum, before[2]), (state.prev_grad, before[3])):
+        assert set(now) == set(then)
+        for k, v in then.items():
+            assert (v is None and now[k] is None) or np.array_equal(now[k], v)
+
+
 class TestCosineSchedule:
     def test_warmup_end_is_eta_max(self):
         cfg = _cfg(total_steps=1300, warmup_steps=300)
@@ -284,14 +298,33 @@ class TestLantonStep:
         cfg = _cfg(noise_option="I", noise_update_interval=1)
         state = init_state(_hidden_layers(2))
         step({l.name: np.eye(3) for l in state.layers})
-        copy = lambda d: {k: None if v is None else v.copy() for k, v in d.items()}
-        before = (state.t, dict(state.h), copy(state.momentum), copy(state.prev_grad))
+        before = _snapshot(state)
         with pytest.raises(ValueError, match="mode"):
             step({l.name: 2.0 * np.eye(3) for l in state.layers}, mode="bogus")
-        assert (state.t, state.h) == before[:2]
-        for now, then in ((state.momentum, before[2]), (state.prev_grad, before[3])):
-            for k, v in then.items():
-                assert (v is None and now[k] is None) or np.array_equal(now[k], v)
+        _assert_unchanged(state, before)
+
+    @pytest.mark.parametrize("case", ["none", "missing", "extra", "shape", "non_finite"])
+    def test_bad_twins_leave_state_unchanged(self, case):
+        # The bad twin is the second layer's, so a check made layer by layer
+        # inside the tracker loop would already have folded the first's H.
+        cfg = _cfg(noise_option="II", noise_update_interval=1)
+        state = init_state(_hidden_layers(2))
+        grads = {l.name: np.eye(3) for l in state.layers}
+        lanton_step(state, grads, cfg, twins={k: 0.5 * v for k, v in grads.items()})
+        before = _snapshot(state)
+        twins = {k: 0.25 * v for k, v in grads.items()}
+        if case == "missing":
+            del twins["l1"]
+        elif case == "extra":
+            twins["l2"] = np.eye(3)
+        elif case == "shape":
+            twins["l1"] = np.ones((3, 2))
+        elif case == "non_finite":
+            twins["l1"] = np.full((3, 3), np.inf)
+        with pytest.raises(GradientError if case == "non_finite" else ValueError, match="twin"):
+            lanton_step(state, {k: 2.0 * v for k, v in grads.items()}, cfg,
+                        twins=None if case == "none" else twins)
+        _assert_unchanged(state, before)
 
     def test_gradient_cover_mismatch(self):
         cfg = _cfg()

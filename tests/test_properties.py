@@ -1,4 +1,5 @@
-"""Property tests of the config round trip and of config robustness.
+"""Property tests of the config round trip, config robustness and the
+telemetry CSV round trip.
 
 Generated configs cover the four task forms (the two quadratic presets, an
 explicit layer list, the MLP) and every optimizer kind, with each optional
@@ -15,7 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lanton.cli import main
-from lanton.harness import ConfigError, canonical_config, parse_config
+from lanton.harness import (
+    ConfigError,
+    RunRecord,
+    canonical_config,
+    emit_metrics,
+    parse_config,
+    read_metrics,
+)
+from lanton.optimizer import CSV_UNSAFE, LayerStats
 
 _SEED = st.integers(0, 2**32)
 _DIM = st.integers(1, 6)
@@ -215,3 +224,35 @@ def test_mutated_run_config_gives_json_error(run_dirs, data):
     finally:
         with open(config_path, "w", encoding="utf-8") as f:
             f.write(original)
+
+
+# Any name the CSV can hold: every character but a comma or a CR/LF. The
+# line breaks str.splitlines() also splits at are drawn often on purpose.
+_CSV_NAME = st.text(st.one_of(
+    st.sampled_from("\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
+    st.characters(blacklist_characters=CSV_UNSAFE, blacklist_categories=("Cs",)),
+), min_size=1, max_size=6)
+_STAT = st.one_of(st.floats(allow_nan=False), st.just(float("nan")))
+
+
+def _bits(records):
+    """Records with every float as its hex form, so NaN compares equal to NaN."""
+    return [(r.step, r.loss.hex(), [(name, [getattr(st_, f).hex() for f in
+                                            ("eta_eff", "ratio", "h", "dual_grad_norm")])
+                                    for name, st_ in r.layers.items()]) for r in records]
+
+
+@st.composite
+def _records(draw):
+    names = draw(st.lists(_CSV_NAME, min_size=1, max_size=4, unique=True))
+    steps = draw(st.lists(st.integers(0, 10**6), max_size=4, unique=True))
+    return [RunRecord(step=step, loss=draw(_STAT), layers={
+        name: LayerStats(*(draw(_STAT) for _ in range(4))) for name in names})
+        for step in sorted(steps)]
+
+
+@given(_records())
+def test_metrics_csv_round_trips(tmp_path_factory, records):
+    path = str(tmp_path_factory.mktemp("csv") / "seed_0.csv")
+    emit_metrics(records, path)
+    assert _bits(read_metrics(path)) == _bits(records)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from lanton.tasks import (
     quadratic_value_grad,
     sample_dual_noise,
     stochastic_grad,
+    value_grad,
 )
 
 
@@ -220,6 +222,62 @@ class TestMlp:
         task = self._task()
         with pytest.raises(ValueError):
             mlp_value_grad(task, {"w1": np.zeros((3, 2)), "w2": np.zeros((1, 2))})
+
+    def test_reused_workspace_matches_fresh_calls(self):
+        task = self._task(widths=(5, 12, 3), n=40)
+        rng = np.random.default_rng(11)
+        work = {}
+        kept = []
+        for _ in range(8):
+            params = {k: rng.standard_normal(v.shape) for k, v in task.initial_params().items()}
+            loss, grads = value_grad(task, params, work)
+            fresh_loss, fresh = mlp_value_grad(task, params)
+            assert loss == fresh_loss
+            for name, g in grads.items():
+                assert np.array_equal(g, fresh[name])
+                assert not any(np.shares_memory(g, buf) for buf in work.values())
+            kept.append((grads, fresh))
+        buffers = {k: id(v) for k, v in work.items()}
+        assert len(buffers) == 2
+        # Later calls leave earlier results alone and keep the same arrays.
+        value_grad(task, task.initial_params(), work)
+        assert {k: id(v) for k, v in work.items()} == buffers
+        for grads, fresh in kept:
+            assert all(np.array_equal(grads[k], fresh[k]) for k in fresh)
+
+    def test_workspace_follows_sample_count(self):
+        small, large = self._task(n=8), self._task(n=24)
+        work = {}
+        for task in (small, large, small):
+            params = task.initial_params()
+            loss, grads = mlp_value_grad(task, params, work)
+            fresh_loss, fresh = mlp_value_grad(task, params)
+            assert loss == fresh_loss
+            assert all(np.array_equal(grads[k], fresh[k]) for k in fresh)
+
+    def test_quadratic_ignores_workspace(self):
+        task = transformer_noise_quadratic()
+        work = {}
+        x = {spec.name: np.ones(spec.shape) for spec in task.layers}
+        loss, _ = value_grad(task, x, work)
+        assert work == {}
+        assert loss == quadratic_value_grad(task, x)[0]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor page faults")
+    def test_reused_workspace_takes_no_page_faults(self):
+        # The benchmark's MLP size: each (n, h) array is 1 MB, which a fresh
+        # allocation pages in again (about 480 faults a call without reuse).
+        import resource
+
+        task = self._task(widths=(32, 128, 8), n=1024)
+        params = task.initial_params()
+        work = {}
+        value_grad(task, params, work)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(20):
+            value_grad(task, params, work)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 64 * 20
 
 
 class TestGenDataset:
