@@ -21,15 +21,17 @@ from .diagnostics import (
 from .harness import (
     ConfigError,
     ExperimentConfig,
-    build_task,
+    build_task,  # not called here; perfbench/tracer.py patches lanton.cli.build_task
     compare_runs,
     parse_config,
     read_metrics,
     read_run_config,
     run_experiment,
+    task_layers,
     _load_document,
     _write_text_atomic,
 )
+from .tasks import NoiseProfile
 
 __all__ = ["main"]
 
@@ -109,12 +111,15 @@ def _cmd_compare(args) -> int:
 def _cmd_diagnose(args) -> int:
     cfg = read_run_config(args.dir)
     opt = cfg.lanton
-    task = build_task(cfg.task_section)
-    layer_groups = {spec.name: spec.group.value for spec in task.layers}
-    consts = [default_equivalence_constants(spec.group, spec.shape) for spec in task.layers]
+    # The layers and noise radii come from the config alone: the task (an
+    # MLP's dataset, a quadratic's targets) is never built.
+    layers = task_layers(cfg.task_section)
+    layer_groups = {spec.name: spec.group.value for spec, _ in layers}
+    consts = [default_equivalence_constants(spec.group, spec.shape) for spec, _ in layers]
     c1 = min(c for c, _ in consts)
     c2 = max(c for _, c in consts)
-    params = BoundParams(c1=c1, c2=c2, delta=args.delta, beta2=opt.beta2, profile=task.noise)
+    profile = NoiseProfile({spec.name: radii for spec, radii in layers})
+    params = BoundParams(c1=c1, c2=c2, delta=args.delta, beta2=opt.beta2, profile=profile)
     # The tracker envelopes hold for a twin-gradient tracker updated every step.
     interval_ok = (cfg.optimizer_kind == "lanton" and opt.noise_option == "II"
                    and opt.noise_update_interval == 1)
@@ -135,9 +140,9 @@ def _cmd_diagnose(args) -> int:
         "tracker_bounds_applicable": interval_ok,
         "per_seed": per_seed,
     }
-    _write_text_atomic(os.path.join(args.dir, "diagnostics.json"),
-                       json.dumps(report, sort_keys=True, indent=2) + "\n")
-    print(json.dumps(report, sort_keys=True, indent=2))
+    text = json.dumps(report, sort_keys=True, indent=2)
+    _write_text_atomic(os.path.join(args.dir, "diagnostics.json"), text + "\n")
+    print(text)
     return 0
 
 

@@ -28,6 +28,7 @@ from .optimizer import (
     CSV_UNSAFE,
     MODES,
     OPTIONS,
+    GradientError,
     LantonConfig,
     LayerSpec,
     LayerStats,
@@ -41,11 +42,12 @@ from .tasks import (
     MlpTask,
     NoiseProfile,
     gen_dataset,
-    heterogeneous_quadratic,
+    heterogeneous_layers,
     layered_quadratic,
+    mlp_layers,
     noise_streams,
-    transformer_noise_quadratic,
     perturb_gradients,
+    transformer_layers,
     value_grad,
 )
 
@@ -55,6 +57,7 @@ __all__ = [
     "ExperimentConfig",
     "RunRecord",
     "parse_config",
+    "task_layers",
     "build_task",
     "task_signature",
     "execute_run",
@@ -129,7 +132,7 @@ def _require(obj: dict, key: str, path: str):
     return obj[key]
 
 
-_PRESETS = {"transformer": transformer_noise_quadratic, "heterogeneous": heterogeneous_quadratic}
+_PRESETS = {"transformer": transformer_layers, "heterogeneous": heterogeneous_layers}
 _QUAD_PRESET_KEYS = {
     "transformer": {"kind", "preset", "seed", "shape", "smoothness"},
     "heterogeneous": {"kind", "preset", "seed", "shape", "smoothness",
@@ -311,32 +314,41 @@ def task_signature(task_section: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def task_layers(task_section: dict) -> list[tuple[LayerSpec, tuple[float, float]]]:
+    """The ``(LayerSpec, (sigma_lo, sigma_hi))`` pairs of a parsed task
+    section, in the task's layer order. Draws no data: readers of a run
+    directory learn the layers from this without building the task."""
+    if task_section["kind"] == "mlp":
+        noise = task_section["noise"]
+        return [(spec, tuple(noise[spec.name])) for spec in mlp_layers(task_section["widths"])]
+    if "preset" in task_section:
+        # A parsed preset section holds exactly the layer builder's
+        # parameters, plus the seed of the targets.
+        params = {k: v for k, v in task_section.items() if k not in ("kind", "preset", "seed")}
+        return _PRESETS[task_section["preset"]](**params)
+    return [(LayerSpec(l["name"], tuple(l["shape"]), Group.parse(l["group"]), l["smoothness"]),
+             (l["sigma_lo"], l["sigma_hi"])) for l in task_section["layers"]]
+
+
 def build_task(task_section: dict):
     """Instantiate the task object described by a parsed task section."""
-    kind = task_section["kind"]
-    if kind == "mlp":
-        spec = DatasetSpec(
-            n_samples=task_section["n_samples"],
-            input_dim=task_section["widths"][0],
-            output_dim=task_section["widths"][2],
-            teacher_hidden=task_section["widths"][1],
-            label_noise=task_section["label_noise"],
-        )
-        dataset = gen_dataset(spec, task_section["dataset_seed"])
-        radii = {k: tuple(v) for k, v in task_section["noise"].items()}
-        return MlpTask(
-            widths=tuple(task_section["widths"]),
-            dataset=dataset,
-            noise=NoiseProfile(radii),
-            seed=task_section["seed"],
-        )
-    if "preset" in task_section:
-        # A parsed preset section holds exactly the preset builder's parameters.
-        params = {k: v for k, v in task_section.items() if k not in ("kind", "preset")}
-        return _PRESETS[task_section["preset"]](**params)
-    layers = [(LayerSpec(l["name"], tuple(l["shape"]), Group.parse(l["group"]), l["smoothness"]),
-               (l["sigma_lo"], l["sigma_hi"])) for l in task_section["layers"]]
-    return layered_quadratic(layers, task_section["seed"])
+    layers = task_layers(task_section)
+    if task_section["kind"] != "mlp":
+        return layered_quadratic(layers, task_section["seed"])
+    widths = task_section["widths"]
+    spec = DatasetSpec(
+        n_samples=task_section["n_samples"],
+        input_dim=widths[0],
+        output_dim=widths[2],
+        teacher_hidden=widths[1],
+        label_noise=task_section["label_noise"],
+    )
+    return MlpTask(
+        widths=tuple(widths),
+        dataset=gen_dataset(spec, task_section["dataset_seed"]),
+        noise=NoiseProfile({layer.name: radii for layer, radii in layers}),
+        seed=task_section["seed"],
+    )
 
 
 # ----------------------------------------------------------------------------
@@ -381,16 +393,22 @@ def execute_run(cfg: ExperimentConfig, seed: int, task=None) -> tuple[list[RunRe
             grads, twins = perturb_gradients(layers, exact, task.noise, rngs, twin=True)
         else:
             grads = perturb_gradients(layers, exact, task.noise, rngs)
-        if cfg.optimizer_kind == "lanton":
-            deltas, stats = lanton_step(
-                state, grads, opt, mode=cfg.mode, twins=twins, params=params,
-                log_dual_norm=cfg.telemetry.dual_grad_norm,
-            )
-        else:
-            deltas, stats = baseline_step(
-                cfg.optimizer_kind, state, grads, opt, mode=cfg.mode, params=params,
-                log_dual_norm=cfg.telemetry.dual_grad_norm,
-            )
+        try:
+            if cfg.optimizer_kind == "lanton":
+                deltas, stats = lanton_step(
+                    state, grads, opt, mode=cfg.mode, twins=twins, params=params,
+                    log_dual_norm=cfg.telemetry.dual_grad_norm,
+                )
+            else:
+                deltas, stats = baseline_step(
+                    cfg.optimizer_kind, state, grads, opt, mode=cfg.mode, params=params,
+                    log_dual_norm=cfg.telemetry.dual_grad_norm,
+                )
+        except GradientError:
+            # A non-finite gradient ends this seed like a non-finite loss;
+            # the other seeds run on.
+            aborted_at = t
+            break
         for name, delta in deltas.items():
             params[name] += delta
         records.append(RunRecord(
@@ -415,8 +433,9 @@ def execute_run(cfg: ExperimentConfig, seed: int, task=None) -> tuple[list[RunRe
 def run_experiment(cfg: ExperimentConfig, workers: int = 1):
     """Execute every seed, write CSVs plus a JSON summary, return both.
 
-    Seeds run independently (optionally in parallel); a NaN/Inf loss aborts
-    that seed's run at the offending step and the remaining seeds continue.
+    Seeds run independently (optionally in parallel); a NaN/Inf loss or
+    gradient aborts that seed's run at the offending step and the remaining
+    seeds continue.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -457,10 +476,6 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1):
 # metrics files
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def emit_metrics(records, path) -> None:
     """Write the long-format telemetry CSV (one row per step and layer).
 
@@ -469,16 +484,20 @@ def emit_metrics(records, path) -> None:
     """
     lines = [CSV_HEADER]
     for rec in records:
+        prefix = f"{rec.step},{rec.loss:.17g},"
         for name, st in rec.layers.items():
-            lines.append(",".join((
-                str(rec.step), _fmt(rec.loss), name,
-                _fmt(st.eta_eff), _fmt(st.ratio), _fmt(st.h), _fmt(st.dual_grad_norm),
-            )))
+            lines.append("%s%s,%.17g,%.17g,%.17g,%.17g" % (
+                prefix, name, st.eta_eff, st.ratio, st.h, st.dual_grad_norm))
     _write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_metrics(path) -> list[RunRecord]:
-    """Re-read an emitted CSV into records (wall times are not persisted)."""
+    """Re-read an emitted CSV into records (wall times are not persisted).
+
+    Every row of a step must repeat the step's loss text, and every step
+    must list the first step's layers once each, in the same order;
+    anything else is a ``ValueError`` naming the file and the step.
+    """
     # Split on LF alone, the only line break the writer emits: a layer name
     # may hold other characters that str.splitlines() would break at.
     with open(path, "r", encoding="utf-8", newline="\n") as f:
@@ -488,28 +507,29 @@ def read_metrics(path) -> list[RunRecord]:
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"{path}: missing or unexpected header")
     records: list[RunRecord] = []
-    cur_step = None
-    cur_loss = None
-    cur_layers: dict[str, LayerStats] = {}
+    step_text = loss_text = None
     for line in lines[1:]:
         parts = line.split(",")
         if len(parts) != 7:
             raise ValueError(f"{path}: malformed row {line!r}")
-        step = int(parts[0])
-        if step != cur_step:
-            if cur_step is not None:
-                if step <= cur_step:
-                    raise ValueError(f"{path}: steps not strictly increasing at {step}")
-                records.append(RunRecord(step=cur_step, loss=cur_loss, layers=cur_layers))
-                cur_layers = {}
-            cur_step = step
-            cur_loss = float(parts[1])
-        cur_layers[parts[2]] = LayerStats(
-            eta_eff=float(parts[3]), ratio=float(parts[4]),
-            h=float(parts[5]), dual_grad_norm=float(parts[6]),
-        )
-    if cur_step is not None:
-        records.append(RunRecord(step=cur_step, loss=cur_loss, layers=cur_layers))
+        row_step, row_loss, name, eta_eff, ratio, h, dual_grad_norm = parts
+        if row_step != step_text:
+            step = int(row_step)
+            if records and step <= records[-1].step:
+                raise ValueError(f"{path}: steps not strictly increasing at {step}")
+            step_text, loss_text, layers = row_step, row_loss, {}
+            records.append(RunRecord(step, float(row_loss), layers))
+        elif row_loss != loss_text:
+            raise ValueError(f"{path}: step {step}: loss {row_loss!r} differs from "
+                             f"the step's first row ({loss_text!r})")
+        elif name in layers:
+            raise ValueError(f"{path}: step {step}: layer {name!r} listed twice")
+        layers[name] = LayerStats(float(eta_eff), float(ratio), float(h), float(dual_grad_norm))
+    order = list(records[0].layers) if records else []
+    for rec in records:
+        if list(rec.layers) != order:
+            raise ValueError(f"{path}: step {rec.step} lists layers {list(rec.layers)}, "
+                             f"not the first step's {order}")
     return records
 
 

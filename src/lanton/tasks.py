@@ -43,6 +43,9 @@ __all__ = [
     "gen_dataset",
     "noise_streams",
     "layered_quadratic",
+    "mlp_layers",
+    "transformer_layers",
+    "heterogeneous_layers",
     "transformer_noise_quadratic",
     "heterogeneous_quadratic",
     "TRANSFORMER_NOISE_RADII",
@@ -139,6 +142,15 @@ class Dataset:
         require_finite("labels", self.labels)
 
 
+def mlp_layers(widths) -> tuple[LayerSpec, ...]:
+    """The two weight layers of the MLP with these (input, hidden, output) widths."""
+    i, h, o = widths
+    return (
+        LayerSpec("w1", (h, i), Group.HIDDEN),
+        LayerSpec("w2", (o, h), Group.HIDDEN),
+    )
+
+
 @dataclass(frozen=True)
 class MlpTask:
     """Two-layer tanh network w2 @ tanh(w1 @ x) trained with mean squared error."""
@@ -160,11 +172,7 @@ class MlpTask:
 
     @property
     def layers(self) -> tuple[LayerSpec, ...]:
-        i, h, o = self.widths
-        return (
-            LayerSpec("w1", (h, i), Group.HIDDEN),
-            LayerSpec("w2", (o, h), Group.HIDDEN),
-        )
+        return mlp_layers(self.widths)
 
     def initial_params(self) -> dict[str, np.ndarray]:
         i, h, o = self.widths
@@ -315,20 +323,35 @@ def layered_quadratic(layers, seed: int = 0) -> QuadraticTask:
     return QuadraticTask(specs, targets, NoiseProfile({spec.name: radii for spec, radii in layers}))
 
 
-def transformer_noise_quadratic(shape=(8, 8), smoothness: float = 1.0, seed: int = 0) -> QuadraticTask:
-    """Hidden-group quadratic with the transformer per-role noise radii."""
-    return layered_quadratic([(LayerSpec(name, tuple(shape), Group.HIDDEN, smoothness), radii)
-                              for name, radii in sorted(TRANSFORMER_NOISE_RADII.items())], seed)
+def transformer_layers(shape=(8, 8), smoothness: float = 1.0):
+    """``(LayerSpec, (sigma_lo, sigma_hi))`` pairs of the transformer preset:
+    hidden layers with the per-role noise radii."""
+    return [(LayerSpec(name, tuple(shape), Group.HIDDEN, smoothness), radii)
+            for name, radii in sorted(TRANSFORMER_NOISE_RADII.items())]
 
 
-def heterogeneous_quadratic(n_layers: int = 6, spread: float = 100.0,
-                            sigma_hi_base: float = 0.003, lo_frac: float = 1.0 / 3.0,
-                            shape=(8, 8), smoothness: float = 1.0, seed: int = 0) -> QuadraticTask:
-    """Hidden-group quadratic whose upper noise radii span a `spread` factor."""
+def heterogeneous_layers(n_layers: int = 6, spread: float = 100.0,
+                         sigma_hi_base: float = 0.003, lo_frac: float = 1.0 / 3.0,
+                         shape=(8, 8), smoothness: float = 1.0):
+    """``(LayerSpec, (sigma_lo, sigma_hi))`` pairs of the heterogeneous preset:
+    hidden layers whose upper noise radii span a `spread` factor."""
     if n_layers < 2:
         raise ValueError("need at least 2 layers")
     layers = []
     for i in range(n_layers):
         hi = sigma_hi_base * spread ** (i / (n_layers - 1))
         layers.append((LayerSpec(f"layer{i}", tuple(shape), Group.HIDDEN, smoothness), (lo_frac * hi, hi)))
-    return layered_quadratic(layers, seed)
+    return layers
+
+
+def transformer_noise_quadratic(shape=(8, 8), smoothness: float = 1.0, seed: int = 0) -> QuadraticTask:
+    """Hidden-group quadratic with the transformer per-role noise radii."""
+    return layered_quadratic(transformer_layers(shape, smoothness), seed)
+
+
+def heterogeneous_quadratic(n_layers: int = 6, spread: float = 100.0,
+                            sigma_hi_base: float = 0.003, lo_frac: float = 1.0 / 3.0,
+                            shape=(8, 8), smoothness: float = 1.0, seed: int = 0) -> QuadraticTask:
+    """Hidden-group quadratic whose upper noise radii span a `spread` factor."""
+    return layered_quadratic(heterogeneous_layers(n_layers, spread, sigma_hi_base, lo_frac,
+                                                  shape, smoothness), seed)

@@ -233,3 +233,60 @@ def test_layer_name_with_unicode_line_break_reads_back(tmp_path, capsys, name):
         assert main(argv) == 0, capsys.readouterr().err
         report = json.loads(capsys.readouterr().out)
     assert len(report["runs"]) == 2
+
+
+def _drop_qk_row_of_step_5(lines):
+    return [l for l in lines if not l.startswith("5,") or ",qk," not in l]
+
+
+def _repeat_first_row_of_step_5(lines):
+    i = next(i for i, l in enumerate(lines) if l.startswith("5,"))
+    return lines[:i + 1] + lines[i:]
+
+
+def _other_loss_in_step_5(lines):
+    i = next(i for i, l in enumerate(lines) if l.startswith("5,"))
+    parts = lines[i + 1].split(",")
+    parts[1] = "banana"
+    return lines[:i + 1] + [",".join(parts)] + lines[i + 2:]
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    pytest.param(_drop_qk_row_of_step_5, "step 5 lists layers", id="layer_missing"),
+    pytest.param(_repeat_first_row_of_step_5, "step 5: layer 'mlp' listed twice", id="layer_twice"),
+    pytest.param(_other_loss_in_step_5, "step 5: loss 'banana'", id="loss_differs"),
+])
+def test_readers_reject_inconsistent_csv(tmp_path, capsys, corrupt, message):
+    a, b = _two_runs(tmp_path)
+    csv = os.path.join(a, "seed_0.csv")
+    with open(csv) as f:
+        lines = f.read().splitlines()
+    with open(csv, "w") as f:
+        f.write("\n".join(corrupt(lines)) + "\n")
+    capsys.readouterr()
+    for argv in _readers(a, b):
+        assert main(argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(f"{csv}: ") and message in err["message"]
+
+
+def test_diagnose_builds_no_mlp_dataset(tmp_path, capsys, monkeypatch):
+    import lanton.harness
+    import lanton.tasks
+
+    cfg = _write_config(tmp_path, seeds=[0, 1], total_steps=5, task={
+        "kind": "mlp", "widths": [4, 8, 2], "n_samples": 32,
+        "noise": {"w1": [0.001, 0.002], "w2": [0.01, 0.02]}})
+    assert main(["run", cfg]) == 0
+    capsys.readouterr()
+
+    def no_dataset(*args, **kwargs):
+        raise AssertionError("diagnose generated a dataset")
+
+    monkeypatch.setattr(lanton.harness, "gen_dataset", no_dataset)
+    monkeypatch.setattr(lanton.tasks, "gen_dataset", no_dataset)
+    assert main(["diagnose", str(tmp_path / "run")]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [entry["seed"] for entry in report["per_seed"]] == [0, 1]
+    assert report["per_seed"][0]["alpha_ratio"]["layer_groups"] == {"w1": "hidden", "w2": "hidden"}

@@ -7,6 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from lanton import harness
 from lanton.harness import (
     CSV_HEADER,
     ConfigError,
@@ -271,6 +272,43 @@ class TestMetricsCsv:
         emit_metrics(self._records(), path)
         assert os.listdir(tmp_path) == ["m.csv"]
 
+    _ROWS = {
+        "0a": "0,1.5,a,1,1,0,2",
+        "0b": "0,1.5,b,1,1,0,2",
+        "1a": "1,0.5,a,1,1,0,2",
+        "1b": "1,0.5,b,1,1,0,2",
+    }
+
+    def _write_rows(self, tmp_path, rows):
+        path = tmp_path / "m.csv"
+        path.write_text("\n".join([CSV_HEADER] + rows) + "\n")
+        return path
+
+    @pytest.mark.parametrize("rows,message", [
+        # A step's loss text differs from its first row's.
+        pytest.param(["0a", "0,banana,b,1,1,0,2"], "step 0: loss 'banana'", id="loss_first_step"),
+        pytest.param(["0a", "0b", "1a", "1,0.50,b,1,1,0,2"], "step 1: loss '0.50'", id="loss_later_step"),
+        # A layer appears twice in one step.
+        pytest.param(["0a", "0b", "0a"], "step 0: layer 'a' listed twice", id="twice_first_step"),
+        pytest.param(["0a", "0b", "1a", "1a"], "step 1: layer 'a' listed twice", id="twice_later_step"),
+        # A step does not list the first step's layers in the same order.
+        pytest.param(["0a", "0b", "1a"],
+                     "step 1 lists layers ['a'], not the first step's ['a', 'b']", id="layer_missing"),
+        pytest.param(["0a", "0b", "1b", "1a"], "step 1 lists layers ['b', 'a']", id="layers_reordered"),
+        pytest.param(["0a", "1a", "1b"],
+                     "step 1 lists layers ['a', 'b'], not the first step's ['a']", id="layer_extra"),
+    ])
+    def test_inconsistent_step_rejected(self, tmp_path, rows, message):
+        path = self._write_rows(tmp_path, [self._ROWS.get(r, r) for r in rows])
+        with pytest.raises(ValueError, match=r"m\.csv: ") as info:
+            read_metrics(path)
+        assert message in str(info.value)
+
+    def test_steps_must_increase(self, tmp_path):
+        path = self._write_rows(tmp_path, [self._ROWS[r] for r in ("1a", "1b", "0a", "0b")])
+        with pytest.raises(ValueError, match="not strictly increasing at 0"):
+            read_metrics(path)
+
 
 class TestStepsToThreshold:
     def test_raw_crossing(self):
@@ -451,6 +489,34 @@ class TestRunExperiment:
             sys.setswitchinterval(interval)
         parallel = {name: (outdir / name).read_bytes() for name in os.listdir(outdir)}
         assert serial == parallel
+
+    def test_gradient_error_ends_only_its_seed(self, tmp_path, monkeypatch):
+        cfg = self._cfg(tmp_path, seeds=[0, 1, 2], total_steps=10)
+        run_experiment(cfg)
+        outdir = tmp_path / "run"
+        clean = {name: (outdir / name).read_bytes() for name in os.listdir(outdir)}
+        # Seeds run one after another, so call 13 is seed 1's step 3; its
+        # gradient turns NaN while its loss stays finite.
+        calls = []
+        exact_value_grad = harness.value_grad
+
+        def nan_on_seed_1_step_3(task, params, work=None):
+            loss, grads = exact_value_grad(task, params, work)
+            calls.append(None)
+            if len(calls) == 14:
+                grads = dict(grads, vo=np.full_like(grads["vo"], np.nan))
+            return loss, grads
+
+        monkeypatch.setattr(harness, "value_grad", nan_on_seed_1_step_3)
+        summary, records = run_experiment(cfg)
+        assert [(e["seed"], e["aborted_at"], e["steps_run"]) for e in summary["per_seed"]] == \
+            [(0, None, 10), (1, 3, 3), (2, None, 10)]
+        assert [r.step for r in records[1]] == [0, 1, 2]
+        for name in ("seed_0.csv", "seed_2.csv", "config.json"):
+            assert (outdir / name).read_bytes() == clean[name]
+        # Seed 1 keeps the three steps it finished: 3 layers per step.
+        kept = (outdir / "seed_1.csv").read_text().splitlines()
+        assert kept == clean["seed_1.csv"].decode().splitlines()[:1 + 3 * 3]
 
     def test_threshold_in_summary(self, tmp_path):
         cfg = self._cfg(tmp_path, loss_threshold=1.0, total_steps=40)

@@ -1,5 +1,5 @@
-"""Property tests of the config round trip, config robustness and the
-telemetry CSV round trip.
+"""Property tests of the config round trip, config robustness, the
+telemetry CSV round trip, and the LMO's optimality and duality pairing.
 
 Generated configs cover the four task forms (the two quadratic presets, an
 explicit layer list, the MLP) and every optimizer kind, with each optional
@@ -11,19 +11,25 @@ import json
 import os
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lanton.cli import main
 from lanton.harness import (
     ConfigError,
     RunRecord,
+    build_task,
     canonical_config,
     emit_metrics,
     parse_config,
     read_metrics,
+    task_layers,
 )
+from lanton.lmo import lmo
+from lanton.norms import Group, dual_norm, primal_norm
 from lanton.optimizer import CSV_UNSAFE, LayerStats
 
 _SEED = st.integers(0, 2**32)
@@ -162,6 +168,15 @@ def test_echo_round_trips(raw):
     assert _echo(again) == echo
 
 
+@given(configs())
+def test_task_layers_are_the_built_tasks(raw):
+    section = parse_config(json.dumps(raw)).task_section
+    task = build_task(section)
+    layers = task_layers(section)
+    assert tuple(spec for spec, _ in layers) == tuple(task.layers)
+    assert {spec.name: radii for spec, radii in layers} == task.noise.radii
+
+
 @given(st.data())
 def test_mutations_raise_only_config_error(data):
     raw = data.draw(configs())
@@ -256,3 +271,42 @@ def test_metrics_csv_round_trips(tmp_path_factory, records):
     path = str(tmp_path_factory.mktemp("csv") / "seed_0.csv")
     emit_metrics(records, path)
     assert _bits(read_metrics(path)) == _bits(records)
+
+
+# A group with a shape it takes; entries are multiples of 1/64, so zeros,
+# repeated entries and rank-deficient matrices come up often.
+_GROUP_SHAPE = st.sampled_from(list(Group)).flatmap(lambda group: st.tuples(
+    st.just(group), st.tuples(_DIM) if group is Group.VECTOR_NORM else st.tuples(_DIM, _DIM)))
+
+
+def _direction(shape):
+    return hnp.arrays(np.float64, shape, elements=st.integers(-640, 640).map(lambda k: k / 64))
+
+
+def _inner(a, b) -> float:
+    return float(np.sum(a * b))
+
+
+@given(st.data())
+def test_lmo_is_optimal_over_the_unit_ball(data):
+    group, shape = data.draw(_GROUP_SHAPE)
+    b = data.draw(_direction(shape))
+    extreme = lmo(group, b, oracle=True)
+    assert primal_norm(group, extreme) <= 1.0 + 1e-12
+    best = _inner(b, extreme)
+    tol = 1e-9 * max(1.0, abs(best))
+    for y in data.draw(st.lists(_direction(shape), min_size=1, max_size=6)):
+        if not np.any(y):
+            continue
+        # A point inside the ball along y, and the ball's extreme point for y.
+        inside = y * (data.draw(st.floats(0.0, 1.0)) / primal_norm(group, y))
+        for x in (inside, lmo(group, y, oracle=True)):
+            assert best <= _inner(b, x) + tol
+
+
+@given(st.data())
+def test_lmo_pairs_with_the_dual_norm(data):
+    group, shape = data.draw(_GROUP_SHAPE)
+    b = data.draw(_direction(shape))
+    target = -dual_norm(group, b)
+    assert abs(_inner(b, lmo(group, b, oracle=True)) - target) <= 1e-9 * max(1.0, abs(target))
