@@ -3,6 +3,8 @@ import os
 
 import pytest
 
+import lanton.harness
+import lanton.tasks
 from lanton.cli import main
 
 
@@ -272,9 +274,6 @@ def test_readers_reject_inconsistent_csv(tmp_path, capsys, corrupt, message):
 
 
 def test_diagnose_builds_no_mlp_dataset(tmp_path, capsys, monkeypatch):
-    import lanton.harness
-    import lanton.tasks
-
     cfg = _write_config(tmp_path, seeds=[0, 1], total_steps=5, task={
         "kind": "mlp", "widths": [4, 8, 2], "n_samples": 32,
         "noise": {"w1": [0.001, 0.002], "w2": [0.01, 0.02]}})
