@@ -10,6 +10,7 @@ import itertools
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .diagnostics import (
     BoundParams,
@@ -79,8 +80,6 @@ def _load_config(path: str, args) -> ExperimentConfig:
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    from dataclasses import replace
-
     seed_override = getattr(args, "seed_override", None)
     if seed_override is not None:
         try:
@@ -177,8 +176,6 @@ def _cmd_sweep(args) -> int:
         label = "_".join(label_parts)
         cfg = parse_config(json.dumps(raw))
         cfg = _apply_overrides(cfg, args)
-        from dataclasses import replace
-
         cfg = replace(cfg, output_path=os.path.join(cfg.output_path, label))
         summary, _ = run_experiment(cfg, workers=args.workers)
         results.append({"label": label, "output_path": cfg.output_path,

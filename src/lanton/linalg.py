@@ -45,15 +45,22 @@ class SvdResult:
 
 
 def as_matrix(a) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
+    """``a`` as a row-major float64 matrix with positive dims, in one pass.
+
+    A row-major float64 input comes back as itself, without a copy; any
+    other layout or dtype is copied once, so a reduction over the result
+    adds its entries in the same order whatever the input's layout.
+    """
+    a = np.asarray(a, dtype=np.float64, order="C")
+    if a.ndim != 2 or a.size == 0:
         raise ValueError(f"expected a 2-D matrix with positive dims, got shape {a.shape}")
     return a
 
 
 def as_vector(w) -> np.ndarray:
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 1 or w.shape[0] < 1:
+    """``w`` as a contiguous float64 vector with positive dim, in one pass."""
+    w = np.asarray(w, dtype=np.float64, order="C")
+    if w.ndim != 1 or w.size == 0:
         raise ValueError(f"expected a 1-D vector with positive dim, got shape {w.shape}")
     return w
 

@@ -62,11 +62,16 @@ def newton_schulz(a, steps: int = DEFAULT_NS_STEPS, coefficients=QUINTIC_COEFFS)
     iterate, and therefore the output, bit-identical across exact positive
     rescalings of the input. Tall matrices run through their transpose so the
     Gram products stay small.
+
+    This function validates its input: one conversion to a row-major
+    float64 matrix (see ``as_matrix``), a no-op for the matrix ``lmo``
+    hands it, and the zero check that the max-abs scale gives for free.
+    Any input layout or dtype gives the bits of its row-major float64 copy.
     """
     a = as_matrix(a)
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    scale = float(np.max(np.abs(a)))
+    scale = float(np.abs(a).max())
     if scale == 0.0:
         raise ValueError("newton_schulz: zero matrix has no polar factor")
     ca, cb, cc = coefficients
@@ -92,7 +97,7 @@ def polar_exact(a) -> np.ndarray:
     leading subspace.
     """
     a = as_matrix(a)
-    if not np.any(a):
+    if not np.count_nonzero(a):
         raise ValueError("polar_exact: zero matrix has no polar factor")
     res = jacobi_svd(a)
     keep = res.s > 1e-12 * res.s[0]
@@ -100,8 +105,14 @@ def polar_exact(a) -> np.ndarray:
 
 
 def lmo(group: Group, b, ns_steps: int = DEFAULT_NS_STEPS, oracle: bool = False) -> np.ndarray:
-    """Extreme point of the group's unit norm ball minimizing <b, x>."""
-    b = np.asarray(b, dtype=np.float64)
+    """Extreme point of the group's unit norm ball minimizing <b, x>.
+
+    This function validates b once: one conversion to a row-major float64
+    array and one rank check. Newton-Schulz then receives that array, so
+    its own conversion is a no-op. Any input layout or dtype gives the bits
+    of its row-major float64 copy.
+    """
+    b = np.asarray(b, dtype=np.float64, order="C")
     if group is Group.VECTOR_NORM:
         if b.ndim != 1:
             raise ValueError(f"vector_norm group expects a vector, got shape {b.shape}")
@@ -114,7 +125,7 @@ def lmo(group: Group, b, ns_steps: int = DEFAULT_NS_STEPS, oracle: bool = False)
     if group is Group.EMBEDDING_HEAD:
         return -np.sign(b) / b.shape[1]
     # HIDDEN
-    if not np.any(b):
+    if not np.count_nonzero(b):
         return np.zeros_like(b)
     d_out, d_in = b.shape
     polar = polar_exact(b) if oracle else newton_schulz(b, steps=ns_steps)

@@ -47,8 +47,13 @@ class Group(Enum):
 
 def nuclear_norm(a) -> float:
     """Sum of singular values (dual of the spectral norm)."""
-    a = as_matrix(a)
-    return float(np.sum(np.linalg.svd(a, compute_uv=False)))
+    return _nuclear(as_matrix(a))
+
+
+def _nuclear(a: np.ndarray) -> float:
+    # Trusts a checked matrix (see as_matrix): the LAPACK singular values
+    # and their sum, nothing else.
+    return float(np.linalg.svd(a, compute_uv=False).sum())
 
 
 def rms_norm(w) -> float:
@@ -57,13 +62,9 @@ def rms_norm(w) -> float:
     return float(np.linalg.norm(w)) / math.sqrt(w.shape[0])
 
 
-def _check_group_shape(group: Group, x: np.ndarray) -> np.ndarray:
-    if group is Group.VECTOR_NORM:
-        return as_vector(x)
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"group {group.value} expects a matrix, got shape {x.shape}")
-    return as_matrix(x)
+def _check_group_shape(group: Group, x) -> np.ndarray:
+    """x as a row-major float64 array of the group's rank, in one pass."""
+    return as_vector(x) if group is Group.VECTOR_NORM else as_matrix(x)
 
 
 def dual_norm(group: Group, x, embedding_dual: str = "default") -> float:
@@ -72,17 +73,23 @@ def dual_norm(group: Group, x, embedding_dual: str = "default") -> float:
     For ``EMBEDDING_HEAD``, ``embedding_dual`` selects between the
     duality-consistent scaled entrywise l1 ("default") and the max column
     abs-sum induced norm ("alternate").
+
+    This function validates x: one conversion to a row-major float64 array
+    and one rank and size check, which cost nothing more when x already is
+    one (as every array the optimizer step and the noise sampler pass is).
+    The norm is computed from that array alone, so any input layout or
+    dtype gives the bits of its row-major float64 copy.
     """
     x = _check_group_shape(group, x)
     if group is Group.HIDDEN:
         d_out, d_in = x.shape
-        return math.sqrt(d_out / d_in) * nuclear_norm(x)
+        return math.sqrt(d_out / d_in) * _nuclear(x)
     if group is Group.EMBEDDING_HEAD:
         d_in = x.shape[1]
         if embedding_dual == "default":
-            return float(np.sum(np.abs(x))) / d_in
+            return float(np.abs(x).sum()) / d_in
         if embedding_dual == "alternate":
-            return float(np.max(np.sum(np.abs(x), axis=0)))
+            return float(np.abs(x).sum(axis=0).max())
         raise ValueError(f"embedding_dual must be 'default' or 'alternate', got {embedding_dual!r}")
     # VECTOR_NORM
     return math.sqrt(x.shape[0]) * float(np.linalg.norm(x))
@@ -101,5 +108,5 @@ def primal_norm(group: Group, x) -> float:
         return math.sqrt(d_in / d_out) * top
     if group is Group.EMBEDDING_HEAD:
         d_in = x.shape[1]
-        return d_in * float(np.max(np.abs(x)))
+        return d_in * float(np.abs(x).max())
     return rms_norm(x)

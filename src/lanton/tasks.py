@@ -193,7 +193,7 @@ def quadratic_value_grad(task: QuadraticTask, x: dict[str, np.ndarray]):
         if xi.shape != tuple(spec.shape):
             raise ValueError(f"layer {spec.name}: shape {xi.shape} != {spec.shape}")
         diff = xi - task.targets[spec.name]
-        loss += 0.5 * spec.smoothness * float(np.sum(diff * diff))
+        loss += 0.5 * spec.smoothness * float((diff * diff).sum())
         grads[spec.name] = spec.smoothness * diff
     return loss, grads
 
@@ -264,7 +264,13 @@ def sample_dual_noise(group: Group, shape, sigma_lo: float, sigma_hi: float,
         raise ValueError(f"need 0 <= sigma_lo <= sigma_hi, got ({sigma_lo}, {sigma_hi})")
     if sigma_hi == 0.0:
         return np.zeros(shape)
-    radius = float(rng.uniform(sigma_lo, sigma_hi))
+    # rng.uniform(lo, hi) is lo + (hi - lo) * u on the same double u, so this
+    # draws the same bits from the same stream position, without the wrapper;
+    # like uniform, it rejects a span that is not finite.
+    span = sigma_hi - sigma_lo
+    if not math.isfinite(span):
+        raise OverflowError(f"noise radii ({sigma_lo}, {sigma_hi}) span no finite range")
+    radius = sigma_lo + span * rng.random()
     while True:
         sample = rng.standard_normal(shape)
         nrm = dual_norm(group, sample)
@@ -280,17 +286,20 @@ def perturb_gradients(layers, exact_grads, noise: NoiseProfile,
     """Add sign-symmetrized dual-norm noise to exact gradients.
 
     With ``twin=True`` two independently perturbed copies are returned, both
-    evaluated at the same point.
+    evaluated at the same point. Each layer's draws come from its own stream,
+    in the order noise sample, sign; then the twin's noise sample, sign.
     """
     outs = [dict() for _ in range(2 if twin else 1)]
     for spec in layers:
         lo, hi = noise.radii[spec.name]
+        rng = rngs[spec.name]
+        shape = tuple(spec.shape)
         g = np.asarray(exact_grads[spec.name], dtype=np.float64)
         for out in outs:
-            e = sample_dual_noise(spec.group, tuple(spec.shape), lo, hi, rngs[spec.name])
-            if hi > 0.0 and rngs[spec.name].uniform() < 0.5:
-                e = -e
-            out[spec.name] = g + e
+            e = sample_dual_noise(spec.group, shape, lo, hi, rng)
+            # random() < 0.5 reads the double that uniform() would; g - e is
+            # g + (-e) to the bit, as negation is exact.
+            out[spec.name] = g - e if hi > 0.0 and rng.random() < 0.5 else g + e
     return (outs[0], outs[1]) if twin else outs[0]
 
 

@@ -1,5 +1,7 @@
 """Property tests of the config round trip, config robustness, the
-telemetry CSV round trip, and the LMO's optimality and duality pairing.
+telemetry CSV round trip, the LMO's optimality and duality pairing, and
+the bit-exactness of the step path's dual norm, LMO, Newton-Schulz and
+noise draws.
 
 Generated configs cover the four task forms (the two quadratic presets, an
 explicit layer list, the MLP) and every optimizer kind, with each optional
@@ -8,6 +10,7 @@ key present or left to its default.
 
 import io
 import json
+import math
 import os
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -28,9 +31,10 @@ from lanton.harness import (
     read_metrics,
     task_layers,
 )
-from lanton.lmo import lmo
+from lanton.lmo import lmo, newton_schulz
 from lanton.norms import Group, dual_norm, primal_norm
-from lanton.optimizer import CSV_UNSAFE, LayerStats
+from lanton.optimizer import CSV_UNSAFE, LayerSpec, LayerStats
+from lanton.tasks import NoiseProfile, noise_streams, perturb_gradients
 
 _SEED = st.integers(0, 2**32)
 _DIM = st.integers(1, 6)
@@ -310,3 +314,90 @@ def test_lmo_pairs_with_the_dual_norm(data):
     b = data.draw(_direction(shape))
     target = -dual_norm(group, b)
     assert abs(_inner(b, lmo(group, b, oracle=True)) - target) <= 1e-9 * max(1.0, abs(target))
+
+
+
+# Any finite float64, subnormals and signed zeros included, at magnitudes
+# whose squares stay finite in the Newton-Schulz Gram products.
+_ENTRY = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+def _bits_of(value) -> bytes:
+    out = np.asarray(value)
+    return str(out.shape).encode() + out.dtype.str.encode() + out.tobytes()
+
+
+def _step_path_calls(group, x, nonzero):
+    """The bits of each per-layer call of a step on x: the dual norm, the
+    LMO and, for a nonzero matrix, Newton-Schulz."""
+    calls = {"dual_norm": _bits_of(dual_norm(group, x)), "lmo": _bits_of(lmo(group, x))}
+    if group is not Group.VECTOR_NORM and nonzero:
+        calls["newton_schulz"] = _bits_of(newton_schulz(x))
+    return calls
+
+
+@given(st.data())
+def test_step_path_calls_ignore_input_layout_and_type(data):
+    # The bits of a C-contiguous float64 copy, whatever the caller passes.
+    group, shape = data.draw(_GROUP_SHAPE)
+    x = data.draw(hnp.arrays(np.float64, shape, elements=_ENTRY))
+    nonzero = bool(np.any(x))
+    want = _step_path_calls(group, np.ascontiguousarray(x), nonzero)
+    assert _step_path_calls(group, np.ascontiguousarray(x.T).T, nonzero) == want
+    assert _step_path_calls(group, np.asfortranarray(x), nonzero) == want
+    assert _step_path_calls(group, x.tolist(), nonzero) == want
+    k = data.draw(hnp.arrays(np.int64, shape, elements=st.integers(-1000, 1000)))
+    assert _step_path_calls(group, k, bool(np.any(k))) == _step_path_calls(
+        group, np.ascontiguousarray(k, dtype=np.float64), bool(np.any(k)))
+
+
+@given(hnp.arrays(np.float64, st.tuples(_DIM, _DIM), elements=_ENTRY))
+def test_hidden_dual_norm_is_the_scaled_singular_value_sum(x):
+    d_out, d_in = x.shape
+    want = math.sqrt(d_out / d_in) * float(np.sum(np.linalg.svd(x, compute_uv=False)))
+    assert dual_norm(Group.HIDDEN, x).hex() == want.hex()
+
+
+def _reference_perturb(layers, exact, noise, rngs, twin):
+    """perturb_gradients as first written, kept as the reference: numpy's
+    uniform() for the radius and the sign, and an explicit negation."""
+    outs = [dict() for _ in range(2 if twin else 1)]
+    for spec in layers:
+        lo, hi = noise.radii[spec.name]
+        rng = rngs[spec.name]
+        for out in outs:
+            e = np.zeros(spec.shape)
+            if hi > 0.0:
+                radius = float(rng.uniform(lo, hi))
+                sample, nrm = None, 0.0
+                while nrm == 0.0:
+                    sample = rng.standard_normal(spec.shape)
+                    nrm = dual_norm(spec.group, sample)
+                if radius != 0.0:
+                    e = sample * (radius / nrm)
+            if hi > 0.0 and rng.uniform() < 0.5:
+                e = -e
+            out[spec.name] = exact[spec.name] + e
+    return outs
+
+
+@given(st.data())
+def test_perturb_gradients_draws_the_reference_bits(data):
+    # The same noise, signs and stream positions as the reference.
+    specs = []
+    for i in range(data.draw(st.integers(1, 3))):
+        group, shape = data.draw(_GROUP_SHAPE)
+        specs.append(LayerSpec(f"l{i}", shape, group))
+    noise = NoiseProfile({spec.name: tuple(sorted(data.draw(st.tuples(
+        st.sampled_from([0.0, 1e-3, 0.5, 3.0]) | st.floats(0.0, 10.0),
+        st.sampled_from([0.0, 1e-3, 0.5, 3.0]) | st.floats(0.0, 10.0))))) for spec in specs})
+    exact = {spec.name: data.draw(hnp.arrays(np.float64, spec.shape, elements=_ENTRY)) for spec in specs}
+    seed = data.draw(_SEED)
+    twin = data.draw(st.booleans())
+    rngs, ref_rngs = noise_streams(seed, specs), noise_streams(seed, specs)
+    got = perturb_gradients(specs, exact, noise, rngs, twin=twin)
+    want = _reference_perturb(specs, exact, noise, ref_rngs, twin)
+    for out, ref in zip(got if twin else (got,), want):
+        assert {k: _bits_of(v) for k, v in out.items()} == {k: _bits_of(v) for k, v in ref.items()}
+    for spec in specs:
+        assert rngs[spec.name].random() == ref_rngs[spec.name].random()

@@ -131,6 +131,10 @@ class TestSampleDualNoise:
         rng = np.random.default_rng(3)
         with pytest.raises(ValueError):
             sample_dual_noise(Group.VECTOR_NORM, 4, 2.0, 1.0, rng)
+        # A span that is not finite: OverflowError, as rng.uniform raises.
+        for lo, hi in ((math.nan, 1.0), (0.0, math.nan), (1.0, math.inf), (math.inf, math.inf)):
+            with pytest.raises(OverflowError):
+                sample_dual_noise(Group.VECTOR_NORM, 4, lo, hi, rng)
 
 
 class TestStochasticGrad:
