@@ -12,6 +12,7 @@ import os
 import sys
 from dataclasses import replace
 
+from .checks import ConfigError, check_number
 from .diagnostics import (
     BoundParams,
     alpha_ratio_envelope,
@@ -20,7 +21,6 @@ from .diagnostics import (
     noise_range_estimate,
 )
 from .harness import (
-    ConfigError,
     ExperimentConfig,
     build_task,  # not called here; perfbench/tracer.py patches lanton.cli.build_task
     compare_runs,
@@ -101,7 +101,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    report = compare_runs(args.dirs, args.threshold,
+    threshold = check_number(args.threshold, "--threshold")
+    report = compare_runs(args.dirs, threshold,
                           smoothing="raw" if args.raw_crossing else "trailing")
     print(json.dumps(report, sort_keys=True, indent=2))
     return 0
@@ -159,7 +160,10 @@ def _cmd_sweep(args) -> int:
     with open(args.config, "r", encoding="utf-8") as f:
         base_raw = _load_document(f.read())
     with open(args.grid, "r", encoding="utf-8") as f:
-        grid = json.load(f)
+        try:
+            grid = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ConfigError("--grid", f"malformed JSON: {exc}") from exc
     if not isinstance(grid, dict) or not grid:
         raise ConfigError("--grid", "expected a non-empty object of path -> values")
     keys = sorted(grid)
@@ -197,7 +201,7 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except ConfigError as exc:
         payload = {"error": "config", "field": exc.field, "message": str(exc)}
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
     return 1

@@ -212,21 +212,20 @@ def alpha_ratio_envelope(records, params: BoundParams, alpha: float,
 
 
 def noise_range_estimate(records, beta2: float,
-                         layer_groups: dict[str, str] | None = None,
-                         window: tuple[int, int] | None = None) -> dict:
+                         layer_groups: dict[str, str] | None = None) -> dict:
     """Per-layer summary of the dual-norm gradient deltas seen by the tracker.
 
     The emitted telemetry carries the tracker value H, not the raw deltas, so
     the deltas are reconstructed from consecutive H values through the update
     recursion (valid for interval-1 runs): d_t = sqrt((H_t - beta2*H_{t-1}) /
-    (1 - beta2)). Reports min/mean/max per layer over the window plus
+    (1 - beta2)). Reports min/mean/max per layer over the whole run, whose
+    steps [0, last step + 1) the report names as its window, plus
     group-aggregated means.
     """
     if not records:
         raise ValueError("empty record stream")
-    lo_step, hi_step = window if window is not None else (0, records[-1].step + 1)
-    if lo_step < 0 or hi_step > records[-1].step + 1 or lo_step >= hi_step:
-        raise ValueError(f"window [{lo_step}, {hi_step}) outside run of {records[-1].step + 1} steps")
+    if records[0].step < 0:
+        raise ValueError(f"step {records[0].step} < 0: the tracker recursion starts at step 0")
     names = list(records[0].layers)
     deltas: dict[str, list[float]] = {name: [] for name in names}
     prev_h = {name: 0.0 for name in names}
@@ -235,9 +234,8 @@ def noise_range_estimate(records, beta2: float,
             h = rec.layers[name].h
             if math.isnan(h):
                 raise ValueError(f"layer {name}: missing tracker telemetry at step {rec.step}")
-            if lo_step <= rec.step < hi_step:
-                num = h - beta2 * prev_h[name]
-                deltas[name].append(math.sqrt(max(0.0, num) / (1.0 - beta2)))
+            num = h - beta2 * prev_h[name]
+            deltas[name].append(math.sqrt(max(0.0, num) / (1.0 - beta2)))
             prev_h[name] = h
     per_layer = []
     for name in names:
@@ -254,7 +252,7 @@ def noise_range_estimate(records, beta2: float,
         for name in names:
             acc.setdefault(layer_groups[name], []).extend(deltas[name])
         groups = {g: float(np.mean(v)) for g, v in sorted(acc.items())}
-    return {"window": [lo_step, hi_step], "layers": per_layer, "group_means": groups}
+    return {"window": [0, records[-1].step + 1], "layers": per_layer, "group_means": groups}
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:

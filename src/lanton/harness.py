@@ -90,10 +90,14 @@ class ExperimentConfig:
     mode: str
     lanton: LantonConfig
     seeds: tuple[int, ...]
-    total_steps: int
     telemetry: TelemetryFlags
     output_path: str
     loss_threshold: float | None
+
+    @property
+    def total_steps(self) -> int:
+        """The run's step count, which the optimizer's schedule holds."""
+        return self.lanton.total_steps
 
     def __post_init__(self):
         # A seed names its CSV and its summary entry and seeds the run's
@@ -288,7 +292,6 @@ def parse_config(text: str) -> ExperimentConfig:
         mode=mode,
         lanton=lanton,
         seeds=tuple(seeds),
-        total_steps=total_steps,
         telemetry=telemetry,
         output_path=output_path,
         loss_threshold=threshold,
@@ -326,7 +329,7 @@ def task_layers(task_section: dict) -> list[tuple[LayerSpec, tuple[float, float]
         # parameters, plus the seed of the targets.
         params = {k: v for k, v in task_section.items() if k not in ("kind", "preset", "seed")}
         return _PRESETS[task_section["preset"]](**params)
-    return [(LayerSpec(l["name"], tuple(l["shape"]), Group.parse(l["group"]), l["smoothness"]),
+    return [(LayerSpec(l["name"], tuple(l["shape"]), Group(l["group"]), l["smoothness"]),
              (l["sigma_lo"], l["sigma_hi"])) for l in task_section["layers"]]
 
 
@@ -544,23 +547,25 @@ def _write_text_atomic(path: str, text: str) -> None:
 # comparison
 
 
-def steps_to_threshold(losses, threshold: float, smoothing: str = "trailing",
-                       window: int = 20) -> int | None:
+# Steps in the trailing mean that smooths a loss curve before its crossing.
+_TRAILING_WINDOW = 20
+
+
+def steps_to_threshold(losses, threshold: float, smoothing: str = "trailing") -> int | None:
     """First step whose (smoothed) loss crosses below the threshold.
 
-    The default smoothing is a trailing mean over up to `window` steps, which
+    The default smoothing is a trailing mean over up to 20 steps, which
     keeps single noise spikes from producing spurious crossings; "raw" uses
     the losses as-is.
     """
     if smoothing not in ("trailing", "raw"):
         raise ValueError("smoothing must be 'trailing' or 'raw'")
-    acc = 0.0
     vals = list(losses)
     for t, loss in enumerate(vals):
         if smoothing == "raw":
             smoothed = loss
         else:
-            lo = max(0, t - window + 1)
+            lo = max(0, t - _TRAILING_WINDOW + 1)
             smoothed = sum(vals[lo:t + 1]) / (t + 1 - lo)
         if smoothed <= threshold:
             return t
@@ -614,8 +619,7 @@ def load_run_dir(path: str):
     return cfg, losses_by_seed
 
 
-def compare_runs(paths, threshold: float, smoothing: str = "trailing",
-                 window: int = 20) -> dict:
+def compare_runs(paths, threshold: float, smoothing: str = "trailing") -> dict:
     """Compare run directories on steps-to-threshold and final loss.
 
     All runs must share the same task signature. The pairwise speedup of a
@@ -637,7 +641,7 @@ def compare_runs(paths, threshold: float, smoothing: str = "trailing",
         for seed, losses in losses_by_seed.items():
             if not losses:
                 raise ValueError(f"{os.path.join(path, f'seed_{seed}.csv')}: no steps recorded")
-            s = steps_to_threshold(losses, threshold, smoothing=smoothing, window=window)
+            s = steps_to_threshold(losses, threshold, smoothing=smoothing)
             steps.append(math.inf if s is None else s)
             finals.append(losses[-1])
         med = statistics.median(steps)

@@ -25,7 +25,6 @@ from .norms import Group
 
 __all__ = [
     "QUINTIC_COEFFS",
-    "CUBIC_COEFFS",
     "NS_SIGMA_ENVELOPE",
     "NS_SPECTRAL_ENVELOPE",
     "newton_schulz",
@@ -37,10 +36,8 @@ __all__ = [
 
 # Quintic iteration X <- aX + b(XX^T)X + c(XX^T)^2 X. These coefficients
 # maximize the slope at zero; the iteration lands singular values in a band
-# around 1 instead of converging to 1 exactly. The cubic pair converges
-# monotonically and is kept for callers that need that behavior.
+# around 1 instead of converging to 1 exactly.
 QUINTIC_COEFFS = (3.4445, -4.7750, 2.0315)
-CUBIC_COEFFS = (1.5, -0.5, 0.0)
 
 DEFAULT_NS_STEPS = 5
 
@@ -53,7 +50,7 @@ NS_SIGMA_ENVELOPE = (1.279996e-02, 1.202354e+00)
 NS_SPECTRAL_ENVELOPE = (6.881399e-01, 1.202354e+00)
 
 
-def newton_schulz(a, steps: int = DEFAULT_NS_STEPS, coefficients=QUINTIC_COEFFS) -> np.ndarray:
+def newton_schulz(a, steps: int = DEFAULT_NS_STEPS) -> np.ndarray:
     """Approximate the polar factor of a nonzero matrix.
 
     The input is first divided by its max-abs entry and then by the Frobenius
@@ -74,7 +71,7 @@ def newton_schulz(a, steps: int = DEFAULT_NS_STEPS, coefficients=QUINTIC_COEFFS)
     scale = float(np.abs(a).max())
     if scale == 0.0:
         raise ValueError("newton_schulz: zero matrix has no polar factor")
-    ca, cb, cc = coefficients
+    ca, cb, cc = QUINTIC_COEFFS
     x = a / scale
     x = x / (frobenius_norm(x) + 1e-12)
     transposed = x.shape[0] > x.shape[1]

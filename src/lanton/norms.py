@@ -36,14 +36,6 @@ class Group(Enum):
     EMBEDDING_HEAD = "embedding_head"
     VECTOR_NORM = "vector_norm"
 
-    @classmethod
-    def parse(cls, text: str) -> "Group":
-        for g in cls:
-            if g.value == text:
-                return g
-        raise ValueError(f"unknown group {text!r}; expected one of "
-                         f"{[g.value for g in cls]}")
-
 
 def nuclear_norm(a) -> float:
     """Sum of singular values (dual of the spectral norm)."""

@@ -216,21 +216,20 @@ def update_noise_tracker(state: LantonState, layer_name: str, g_t, other, cfg: L
     return h
 
 
-def alpha_and_ratio(state: LantonState, cfg: LantonConfig, group: Group | None = None):
+def alpha_and_ratio(state: LantonState, cfg: LantonConfig):
     """Per-layer scaling alpha_l = alpha / sqrt(alpha^2 + H) and its ratio
     to the group maximum. At least one layer per group has ratio exactly 1.
     """
-    layers = [l for l in state.layers if group is None or l.group is group]
     alphas = {
         l.name: cfg.alpha / math.sqrt(cfg.alpha * cfg.alpha + state.h[l.name])
-        for l in layers
+        for l in state.layers
     }
     group_max: dict[Group, float] = {}
-    for l in layers:
+    for l in state.layers:
         cur = group_max.get(l.group)
         if cur is None or alphas[l.name] > cur:
             group_max[l.group] = alphas[l.name]
-    ratios = {l.name: alphas[l.name] / group_max[l.group] for l in layers}
+    ratios = {l.name: alphas[l.name] / group_max[l.group] for l in state.layers}
     return alphas, ratios
 
 

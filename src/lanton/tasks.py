@@ -39,15 +39,12 @@ __all__ = [
     "value_grad",
     "sample_dual_noise",
     "perturb_gradients",
-    "stochastic_grad",
     "gen_dataset",
     "noise_streams",
     "layered_quadratic",
     "mlp_layers",
     "transformer_layers",
     "heterogeneous_layers",
-    "transformer_noise_quadratic",
-    "heterogeneous_quadratic",
     "TRANSFORMER_NOISE_RADII",
 ]
 
@@ -303,12 +300,6 @@ def perturb_gradients(layers, exact_grads, noise: NoiseProfile,
     return (outs[0], outs[1]) if twin else outs[0]
 
 
-def stochastic_grad(task, x, noise: NoiseProfile, rngs, twin: bool = False):
-    """Per-layer stochastic gradients at x (a pair of them when twin=True)."""
-    _, exact = value_grad(task, x)
-    return perturb_gradients(task.layers, exact, noise, rngs, twin=twin)
-
-
 def gen_dataset(spec: DatasetSpec, seed: int) -> Dataset:
     """Synthetic regression data from a seeded tanh teacher network."""
     rng = _stream(seed, _PURPOSE_DATA, 0)
@@ -321,7 +312,7 @@ def gen_dataset(spec: DatasetSpec, seed: int) -> Dataset:
     return Dataset(features=x, labels=y)
 
 
-def layered_quadratic(layers, seed: int = 0) -> QuadraticTask:
+def layered_quadratic(layers, seed: int) -> QuadraticTask:
     """Quadratic over ``(LayerSpec, (sigma_lo, sigma_hi))`` pairs; layer i's
     target is drawn from the seed's i-th target stream (unit norm in mean)."""
     specs = tuple(spec for spec, _ in layers)
@@ -332,16 +323,15 @@ def layered_quadratic(layers, seed: int = 0) -> QuadraticTask:
     return QuadraticTask(specs, targets, NoiseProfile({spec.name: radii for spec, radii in layers}))
 
 
-def transformer_layers(shape=(8, 8), smoothness: float = 1.0):
+def transformer_layers(shape, smoothness: float):
     """``(LayerSpec, (sigma_lo, sigma_hi))`` pairs of the transformer preset:
     hidden layers with the per-role noise radii."""
     return [(LayerSpec(name, tuple(shape), Group.HIDDEN, smoothness), radii)
             for name, radii in sorted(TRANSFORMER_NOISE_RADII.items())]
 
 
-def heterogeneous_layers(n_layers: int = 6, spread: float = 100.0,
-                         sigma_hi_base: float = 0.003, lo_frac: float = 1.0 / 3.0,
-                         shape=(8, 8), smoothness: float = 1.0):
+def heterogeneous_layers(n_layers: int, spread: float, sigma_hi_base: float,
+                         lo_frac: float, shape, smoothness: float):
     """``(LayerSpec, (sigma_lo, sigma_hi))`` pairs of the heterogeneous preset:
     hidden layers whose upper noise radii span a `spread` factor."""
     if n_layers < 2:
@@ -351,16 +341,3 @@ def heterogeneous_layers(n_layers: int = 6, spread: float = 100.0,
         hi = sigma_hi_base * spread ** (i / (n_layers - 1))
         layers.append((LayerSpec(f"layer{i}", tuple(shape), Group.HIDDEN, smoothness), (lo_frac * hi, hi)))
     return layers
-
-
-def transformer_noise_quadratic(shape=(8, 8), smoothness: float = 1.0, seed: int = 0) -> QuadraticTask:
-    """Hidden-group quadratic with the transformer per-role noise radii."""
-    return layered_quadratic(transformer_layers(shape, smoothness), seed)
-
-
-def heterogeneous_quadratic(n_layers: int = 6, spread: float = 100.0,
-                            sigma_hi_base: float = 0.003, lo_frac: float = 1.0 / 3.0,
-                            shape=(8, 8), smoothness: float = 1.0, seed: int = 0) -> QuadraticTask:
-    """Hidden-group quadratic whose upper noise radii span a `spread` factor."""
-    return layered_quadratic(heterogeneous_layers(n_layers, spread, sigma_hi_base, lo_frac,
-                                                  shape, smoothness), seed)

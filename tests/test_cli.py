@@ -220,6 +220,33 @@ def test_sweep_config_not_an_object(tmp_path, capsys, document):
     assert json.loads(capsys.readouterr().err) == err
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf", "--threshold=-inf"])
+def test_compare_non_finite_threshold(tmp_path, capsys, threshold):
+    a, b = _two_runs(tmp_path)
+    capsys.readouterr()
+    # argparse would read a bare -inf as a flag, so it goes in as one token.
+    flag = [threshold] if threshold.startswith("--") else ["--threshold", threshold]
+    assert main(["compare", a, b, *flag]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert (err["error"], err["field"]) == ("config", "--threshold")
+
+
+@pytest.mark.parametrize("grid,field", [
+    pytest.param("{", "--grid", id="malformed"),
+    pytest.param("[]", "--grid", id="not_an_object"),
+    pytest.param('{"optimizer.eta_max": 0.1}', "--grid optimizer.eta_max", id="not_a_list"),
+])
+def test_sweep_bad_grid_named(tmp_path, capsys, grid, field):
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(grid)
+    assert main(["sweep", _write_config(tmp_path), "--grid", str(grid_path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["field"]) == ("config", field)
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("name", ["a\u2028b", "a\x0cb", "a\x85b", "a\x0bb", "a\x1cb", "a\u2029b"])
 def test_layer_name_with_unicode_line_break_reads_back(tmp_path, capsys, name):
     # Not a CSV line break (the writer ends rows with LF only), so the name

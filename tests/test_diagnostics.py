@@ -216,15 +216,15 @@ class TestNoiseRangeEstimate:
             h = {"a": 0.9 * h["a"] + 0.1 * 4.0, "b": 0.9 * h["b"] + 0.1 * 1.0}
             records.append(_record(t, dict(h)))
         report = noise_range_estimate(records, beta2=0.9,
-                                      layer_groups={"a": "hidden", "b": "hidden"},
-                                      window=(5, 25))
-        assert report["window"] == [5, 25]
+                                      layer_groups={"a": "hidden", "b": "hidden"})
+        assert report["window"] == [0, 30]
         assert report["group_means"]["hidden"] == pytest.approx((2.0 + 1.0) / 2.0, rel=1e-9)
 
-    def test_window_out_of_range(self):
-        records = [_record(t, {"a": 0.0}) for t in range(5)]
-        with pytest.raises(ValueError):
-            noise_range_estimate(records, beta2=0.9, window=(0, 10))
+    def test_negative_step_rejected(self):
+        # The tracker recursion starts from H = 0 at step 0.
+        records = [_record(t, {"a": 0.0}) for t in range(-1, 3)]
+        with pytest.raises(ValueError, match="step -1 < 0"):
+            noise_range_estimate(records, beta2=0.9)
 
     def test_preset_layer_ordering(self):
         cfg = parse_config(json.dumps({

@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from lanton.diagnostics import default_equivalence_constants
+from lanton.harness import build_task, parse_config
 from lanton.norms import Group, dual_norm
 from lanton.optimizer import LayerSpec
 from lanton.tasks import (
@@ -14,14 +16,11 @@ from lanton.tasks import (
     NoiseProfile,
     QuadraticTask,
     gen_dataset,
-    heterogeneous_quadratic,
     mlp_value_grad,
     noise_streams,
-    transformer_noise_quadratic,
     perturb_gradients,
     quadratic_value_grad,
     sample_dual_noise,
-    stochastic_grad,
     value_grad,
 )
 
@@ -36,6 +35,12 @@ def _quad_task(shapes, smoothness=1.0, seed=0):
         targets[name] = rng.standard_normal(shape)
         radii[name] = (0.0, 0.0)
     return QuadraticTask(tuple(layers), targets, NoiseProfile(radii))
+
+
+def _preset_task(**section):
+    """The quadratic preset task the config parser builds from ``section``."""
+    cfg = parse_config(json.dumps({"task": {"kind": "quadratic", **section}, "optimizer": {}}))
+    return build_task(cfg.task_section)
 
 
 def _central_diff(f, x, h=1e-5):
@@ -143,21 +148,21 @@ class TestStochasticGrad:
         rngs = noise_streams(0, task.layers)
         x = {"a": np.ones((3, 3))}
         _, exact = quadratic_value_grad(task, x)
-        noisy = stochastic_grad(task, x, task.noise, rngs)
+        noisy = perturb_gradients(task.layers, exact, task.noise, rngs)
         assert np.array_equal(noisy["a"], exact["a"])
 
     def test_twin_identical_when_noiseless(self):
         task = _quad_task([("a", Group.HIDDEN, (3, 3))])
         rngs = noise_streams(0, task.layers)
-        x = {"a": np.ones((3, 3))}
-        g, tw = stochastic_grad(task, x, task.noise, rngs, twin=True)
+        _, exact = quadratic_value_grad(task, {"a": np.ones((3, 3))})
+        g, tw = perturb_gradients(task.layers, exact, task.noise, rngs, twin=True)
         assert np.array_equal(g["a"], tw["a"])
 
     def test_twin_noise_independent(self):
-        task = transformer_noise_quadratic()
+        task = _preset_task(preset="transformer")
         rngs = noise_streams(0, task.layers)
-        x = task.initial_params()
-        g, tw = stochastic_grad(task, x, task.noise, rngs, twin=True)
+        _, exact = quadratic_value_grad(task, task.initial_params())
+        g, tw = perturb_gradients(task.layers, exact, task.noise, rngs, twin=True)
         for name in g:
             assert not np.array_equal(g[name], tw[name])
 
@@ -260,7 +265,7 @@ class TestMlp:
             assert all(np.array_equal(grads[k], fresh[k]) for k in fresh)
 
     def test_quadratic_ignores_workspace(self):
-        task = transformer_noise_quadratic()
+        task = _preset_task(preset="transformer")
         work = {}
         x = {spec.name: np.ones(spec.shape) for spec in task.layers}
         loss, _ = value_grad(task, x, work)
@@ -309,23 +314,32 @@ class TestGenDataset:
 
 
 class TestPresets:
+    # The config parser holds the presets' defaults: 8x8 hidden layers of
+    # smoothness 1; six heterogeneous layers whose upper radii go from 0.003
+    # up a factor of 100, each with a lower radius a third of its upper.
+
     def test_transformer_preset_layers(self):
-        task = transformer_noise_quadratic()
+        task = _preset_task(preset="transformer")
         assert {l.name for l in task.layers} == {"qk", "vo", "mlp"}
         assert task.noise.radii["qk"] == (0.003, 0.026)
         assert task.noise.radii["vo"] == (0.009, 0.117)
         assert task.noise.radii["mlp"] == (0.018, 0.107)
         assert all(l.group is Group.HIDDEN for l in task.layers)
+        assert all(l.shape == (8, 8) and l.smoothness == 1.0 for l in task.layers)
 
     def test_heterogeneous_spread(self):
-        task = heterogeneous_quadratic(n_layers=6, spread=100.0)
+        task = _preset_task(preset="heterogeneous")
+        assert len(task.layers) == 6
+        assert all(l.shape == (8, 8) and l.smoothness == 1.0 for l in task.layers)
         his = [task.noise.radii[l.name][1] for l in task.layers]
+        assert his[0] == 0.003
         assert his[-1] / his[0] == pytest.approx(100.0, rel=1e-12)
         assert all(b > a for a, b in zip(his, his[1:]))
+        assert all(task.noise.radii[l.name][0] == (1.0 / 3.0) * hi for l, hi in zip(task.layers, his))
 
     def test_targets_deterministic(self):
-        t1 = transformer_noise_quadratic(seed=4)
-        t2 = transformer_noise_quadratic(seed=4)
+        t1 = _preset_task(preset="transformer", seed=4)
+        t2 = _preset_task(preset="transformer", seed=4)
         for name in t1.targets:
             assert np.array_equal(t1.targets[name], t2.targets[name])
 

@@ -34,8 +34,7 @@ def _targets():
 @pytest.mark.parametrize("module,attr,span", _targets())
 def test_tracer_target_resolves(module, attr, span):
     importlib.import_module(module)
-    # The tracer takes the module from sys.modules: `lanton.lmo` on the
-    # package is the function, not the submodule.
+    # The tracer takes the module from sys.modules, so the check does too.
     assert callable(getattr(sys.modules[module], attr, None)), f"{module}.{attr} ({span})"
 
 
