@@ -12,7 +12,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .checks import ConfigError, check_number
+from .checks import ConfigError, check_integer, check_number
 from .diagnostics import (
     BoundParams,
     alpha_ratio_envelope,
@@ -94,6 +94,7 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
 
 
 def _cmd_run(args) -> int:
+    check_integer(args.workers, "--workers", lo=1)
     cfg = _load_config(args.config, args)
     summary, _ = run_experiment(cfg, workers=args.workers)
     print(json.dumps(summary, sort_keys=True, indent=2))
@@ -109,6 +110,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
+    delta = check_number(args.delta, "--delta", lo=0.0, hi=1.0, lo_open=True, hi_open=True)
     cfg = read_run_config(args.dir)
     opt = cfg.lanton
     # The layers and noise radii come from the config alone: the task (an
@@ -119,15 +121,17 @@ def _cmd_diagnose(args) -> int:
     c1 = min(c for c, _ in consts)
     c2 = max(c for _, c in consts)
     profile = NoiseProfile({spec.name: radii for spec, radii in layers})
-    params = BoundParams(c1=c1, c2=c2, delta=args.delta, beta2=opt.beta2, profile=profile)
-    # The tracker envelopes hold for a twin-gradient tracker updated every step.
+    params = BoundParams(c1=c1, c2=c2, delta=delta, beta2=opt.beta2, profile=profile)
+    # The tracker envelopes hold for a twin-gradient tracker updated every
+    # step. A check whose telemetry column the run switched off is skipped.
     interval_ok = (cfg.optimizer_kind == "lanton" and opt.noise_option == "II"
-                   and opt.noise_update_interval == 1)
+                   and opt.noise_update_interval == 1 and cfg.telemetry.h)
     per_seed = []
     for seed in cfg.seeds:
         records = read_metrics(os.path.join(args.dir, f"seed_{seed}.csv"))
-        entry = {"seed": seed}
-        entry["alpha_ratio"] = alpha_ratio_envelope(records, params, opt.alpha, layer_groups=layer_groups)
+        entry = {"seed": seed, "alpha_ratio": None}
+        if cfg.telemetry.ratio:
+            entry["alpha_ratio"] = alpha_ratio_envelope(records, params, opt.alpha, layer_groups=layer_groups)
         if interval_ok:
             entry["h_bounds"] = h_bounds_check(records, params)
             entry["noise_range"] = noise_range_estimate(records, opt.beta2, layer_groups=layer_groups)
@@ -136,7 +140,7 @@ def _cmd_diagnose(args) -> int:
         "run": args.dir,
         "c1": c1,
         "c2": c2,
-        "delta": args.delta,
+        "delta": delta,
         "tracker_bounds_applicable": interval_ok,
         "per_seed": per_seed,
     }
@@ -157,14 +161,12 @@ def _set_path(obj: dict, dotted: str, value) -> None:
 
 
 def _cmd_sweep(args) -> int:
+    check_integer(args.workers, "--workers", lo=1)
     with open(args.config, "r", encoding="utf-8") as f:
         base_raw = _load_document(f.read())
     with open(args.grid, "r", encoding="utf-8") as f:
-        try:
-            grid = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("--grid", f"malformed JSON: {exc}") from exc
-    if not isinstance(grid, dict) or not grid:
+        grid = _load_document(f.read(), "--grid")
+    if not grid:
         raise ConfigError("--grid", "expected a non-empty object of path -> values")
     keys = sorted(grid)
     for key in keys:

@@ -17,7 +17,7 @@ import os
 import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .optimizer import (
     LantonConfig,
     LayerSpec,
     LayerStats,
+    TelemetryFlags,
     baseline_step,
     init_state,
     lanton_step,
@@ -74,13 +75,6 @@ __all__ = [
 CSV_HEADER = "step,loss,layer,eta_eff,ratio,H,dual_grad_norm"
 
 OPTIMIZER_KINDS = ("lanton",) + BASELINE_KINDS
-
-
-@dataclass(frozen=True)
-class TelemetryFlags:
-    h: bool = True
-    ratio: bool = True
-    dual_grad_norm: bool = True
 
 
 @dataclass(frozen=True)
@@ -252,14 +246,14 @@ def _parse_optimizer(section, total_steps: int, path: str = "optimizer") -> tupl
         raise ConfigError(f"{path}.{exc.field}", exc.message) from None
 
 
-def _load_document(text: str) -> dict:
-    """The top-level object of a JSON config, or a ConfigError at <document>."""
+def _load_document(text: str, field: str = "<document>") -> dict:
+    """The top-level object of a JSON document, or a ConfigError at ``field``."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError("<document>", f"malformed JSON: {exc}") from exc
+        raise ConfigError(field, f"malformed JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ConfigError("<document>", "top level must be an object")
+        raise ConfigError(field, "top level must be an object")
     return raw
 
 
@@ -358,19 +352,6 @@ def build_task(task_section: dict):
 # execution
 
 
-def _mask_stats(stats: dict[str, LayerStats], telemetry: TelemetryFlags) -> dict[str, LayerStats]:
-    if telemetry.h and telemetry.ratio:
-        return stats
-    out = {}
-    for name, st in stats.items():
-        out[name] = replace(
-            st,
-            h=st.h if telemetry.h else math.nan,
-            ratio=st.ratio if telemetry.ratio else math.nan,
-        )
-    return out
-
-
 def execute_run(cfg: ExperimentConfig, seed: int, task=None) -> tuple[list[RunRecord], dict]:
     """Run one seed; returns the telemetry stream and a summary dict."""
     if task is None:
@@ -400,12 +381,12 @@ def execute_run(cfg: ExperimentConfig, seed: int, task=None) -> tuple[list[RunRe
             if cfg.optimizer_kind == "lanton":
                 deltas, stats = lanton_step(
                     state, grads, opt, mode=cfg.mode, twins=twins, params=params,
-                    log_dual_norm=cfg.telemetry.dual_grad_norm,
+                    telemetry=cfg.telemetry,
                 )
             else:
                 deltas, stats = baseline_step(
                     cfg.optimizer_kind, state, grads, opt, mode=cfg.mode, params=params,
-                    log_dual_norm=cfg.telemetry.dual_grad_norm,
+                    telemetry=cfg.telemetry,
                 )
         except GradientError:
             # A non-finite gradient ends this seed like a non-finite loss;
@@ -417,7 +398,7 @@ def execute_run(cfg: ExperimentConfig, seed: int, task=None) -> tuple[list[RunRe
         records.append(RunRecord(
             step=t,
             loss=loss,
-            layers=_mask_stats(stats, cfg.telemetry),
+            layers=stats,
             wall_ns=time.perf_counter_ns() - tick,
         ))
     losses = [r.loss for r in records]
@@ -497,9 +478,10 @@ def emit_metrics(records, path) -> None:
 def read_metrics(path) -> list[RunRecord]:
     """Re-read an emitted CSV into records (wall times are not persisted).
 
-    Every row of a step must repeat the step's loss text, and every step
-    must list the first step's layers once each, in the same order;
-    anything else is a ``ValueError`` naming the file and the step.
+    The k-th step of the file must be step k, as a run writes them. Every
+    row of a step must repeat the step's loss text, and every step must
+    list the first step's layers once each, in the same order; anything
+    else is a ``ValueError`` naming the file and the step.
     """
     # Split on LF alone, the only line break the writer emits: a layer name
     # may hold other characters that str.splitlines() would break at.
@@ -518,8 +500,8 @@ def read_metrics(path) -> list[RunRecord]:
         row_step, row_loss, name, eta_eff, ratio, h, dual_grad_norm = parts
         if row_step != step_text:
             step = int(row_step)
-            if records and step <= records[-1].step:
-                raise ValueError(f"{path}: steps not strictly increasing at {step}")
+            if step != len(records):
+                raise ValueError(f"{path}: found step {step} where step {len(records)} was expected")
             step_text, loss_text, layers = row_step, row_loss, {}
             records.append(RunRecord(step, float(row_loss), layers))
         elif row_loss != loss_text:

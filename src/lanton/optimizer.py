@@ -42,6 +42,7 @@ __all__ = [
     "OPTIONS",
     "LantonState",
     "LayerStats",
+    "TelemetryFlags",
     "GradientError",
     "init_state",
     "cosine_schedule_lr",
@@ -243,6 +244,15 @@ class LayerStats:
     dual_grad_norm: float
 
 
+@dataclass(frozen=True)
+class TelemetryFlags:
+    """Which telemetry columns a step records; a column switched off is NaN."""
+
+    h: bool = True
+    ratio: bool = True
+    dual_grad_norm: bool = True
+
+
 def _check_grads(state: LantonState, grads, what: str = "gradient") -> dict[str, np.ndarray]:
     """The gradients as float64 arrays, once their cover, shapes and values
     pass; ``what`` names them in the error messages.
@@ -286,7 +296,7 @@ def needs_twins(kind: str, cfg: LantonConfig, t: int) -> bool:
 
 
 def _step(kind: str, state: LantonState, grads, cfg: LantonConfig, mode: str, twins, params,
-          log_dual_norm: bool):
+          telemetry: TelemetryFlags):
     """One step of any kind: momentum, direction, rate, decay and telemetry.
 
     Only lanton tracks noise; the other kinds move at ratio 1. The sign and
@@ -341,8 +351,9 @@ def _step(kind: str, state: LantonState, grads, cfg: LantonConfig, mode: str, tw
         if cfg.weight_decay > 0.0:
             delta = delta - eta_base * cfg.weight_decay * np.asarray(params[spec.name], dtype=np.float64)
         deltas[spec.name] = delta
-        dgn = dual_norm(spec.group, g, embedding_dual=cfg.embedding_dual) if log_dual_norm else math.nan
-        stats[spec.name] = LayerStats(eta_eff=eta_eff, ratio=ratio, h=state.h[spec.name], dual_grad_norm=dgn)
+        dgn = dual_norm(spec.group, g, embedding_dual=cfg.embedding_dual) if telemetry.dual_grad_norm else math.nan
+        stats[spec.name] = LayerStats(eta_eff=eta_eff, ratio=ratio if telemetry.ratio else math.nan,
+                                      h=state.h[spec.name] if telemetry.h else math.nan, dual_grad_norm=dgn)
 
     state.t += 1
     return deltas, stats
@@ -355,7 +366,7 @@ def lanton_step(
     mode: str = "raw",
     twins=None,
     params=None,
-    log_dual_norm: bool = True,
+    telemetry: TelemetryFlags = TelemetryFlags(),
 ):
     """Advance the optimizer one step.
 
@@ -363,8 +374,9 @@ def lanton_step(
     the parameters) and per-layer :class:`LayerStats`. ``twins`` is required
     on tracker-update steps under option II. ``params`` is required whenever
     weight_decay > 0, since the decay term is part of the returned delta.
+    ``telemetry`` says which columns of the stats are recorded.
     """
-    return _step("lanton", state, grads, cfg, mode, twins, params, log_dual_norm)
+    return _step("lanton", state, grads, cfg, mode, twins, params, telemetry)
 
 
 def baseline_step(
@@ -374,7 +386,7 @@ def baseline_step(
     cfg: LantonConfig,
     mode: str = "raw",
     params=None,
-    log_dual_norm: bool = True,
+    telemetry: TelemetryFlags = TelemetryFlags(),
 ):
     """One step of a reference baseline sharing the schedule and state layout.
 
@@ -384,4 +396,4 @@ def baseline_step(
     """
     if kind not in BASELINE_KINDS:
         raise ValueError(f"unknown baseline kind {kind!r}")
-    return _step(kind, state, grads, cfg, mode, None, params, log_dual_norm)
+    return _step(kind, state, grads, cfg, mode, None, params, telemetry)

@@ -233,6 +233,49 @@ def test_compare_non_finite_threshold(tmp_path, capsys, threshold):
     assert (err["error"], err["field"]) == ("config", "--threshold")
 
 
+@pytest.mark.parametrize("argv,field", [
+    pytest.param(["diagnose", "{run}", "--delta", "1.5"], "--delta", id="delta_above_one"),
+    pytest.param(["diagnose", "{run}", "--delta", "0"], "--delta", id="delta_zero"),
+    pytest.param(["diagnose", "{run}", "--delta", "nan"], "--delta", id="delta_nan"),
+    pytest.param(["run", "{config}", "--workers", "0"], "--workers", id="run_workers_zero"),
+    pytest.param(["sweep", "{config}", "--grid", "{grid}", "--workers", "0"], "--workers",
+                 id="sweep_workers_zero"),
+])
+def test_out_of_range_flag_named(tmp_path, capsys, argv, field):
+    config = _write_config(tmp_path, total_steps=5)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"optimizer.eta_max": [1e-3]}))
+    if argv[0] == "diagnose":
+        assert main(["run", config]) == 0
+    capsys.readouterr()
+    paths = {"{config}": config, "{grid}": str(grid), "{run}": str(tmp_path / "run")}
+    assert main([paths.get(a, a) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert (err["error"], err["field"]) == ("config", field)
+    written = tmp_path / "run" / "diagnostics.json" if argv[0] == "diagnose" else tmp_path / "run"
+    assert not written.exists()
+
+
+def test_diagnose_skips_switched_off_columns(tmp_path, capsys):
+    # Both runs take a twin gradient at interval 1, where the tracker checks apply.
+    reports = {}
+    for column in ("ratio", "h"):
+        out = str(tmp_path / column)
+        assert main(["run", _write_config(tmp_path, output_path=out, telemetry={column: False})]) == 0
+        capsys.readouterr()
+        assert main(["diagnose", out]) == 0, capsys.readouterr().err
+        reports[column] = json.loads(capsys.readouterr().out)
+    ratio_off, h_off = reports["ratio"], reports["h"]
+    assert ratio_off["tracker_bounds_applicable"] is True
+    assert ratio_off["per_seed"][0]["alpha_ratio"] is None
+    assert all(l["upper_violations"] == 0 for l in ratio_off["per_seed"][0]["h_bounds"]["layers"])
+    assert h_off["tracker_bounds_applicable"] is False
+    assert set(h_off["per_seed"][0]) == {"seed", "alpha_ratio"}
+    assert h_off["per_seed"][0]["alpha_ratio"]["max_ratio"] <= 1.0
+
+
 @pytest.mark.parametrize("grid,field", [
     pytest.param("{", "--grid", id="malformed"),
     pytest.param("[]", "--grid", id="not_an_object"),

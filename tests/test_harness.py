@@ -208,16 +208,27 @@ class TestExecuteRun:
                 assert r1.layers[name].eta_eff == r2.layers[name].eta_eff
                 assert r1.layers[name].ratio == r2.layers[name].ratio == 1.0
 
-    def test_telemetry_flags_mask_columns(self):
-        cfg = parse_config(json.dumps(_stub_config(
-            total_steps=3,
-            optimizer={"noise_option": "II", "noise_update_interval": 1},
-            telemetry={"h": False, "ratio": True, "dual_grad_norm": False})))
-        records, _ = execute_run(cfg, 0)
-        st = records[-1].layers["qk"]
-        assert math.isnan(st.h)
-        assert math.isnan(st.dual_grad_norm)
-        assert not math.isnan(st.ratio)
+    @pytest.mark.parametrize("kind", ["lanton", "signum"])
+    @pytest.mark.parametrize("column", ["h", "ratio", "dual_grad_norm"])
+    def test_telemetry_flags_mask_columns(self, kind, column):
+        # One switch off: its column is NaN in every row, while the losses
+        # and the other columns are those of the run with every switch on.
+        def run(telemetry):
+            cfg = parse_config(json.dumps(_stub_config(
+                total_steps=3, telemetry=telemetry,
+                optimizer={"kind": kind, "noise_option": "II", "noise_update_interval": 1})))
+            return execute_run(cfg, 0)[0]
+
+        masked, full = run({column: False}), run({})
+        assert len(masked) == len(full) == 3
+        for got, want in zip(masked, full):
+            assert got.loss == want.loss
+            for name, st in got.layers.items():
+                for f in ("eta_eff", "ratio", "h", "dual_grad_norm"):
+                    if f == column:
+                        assert math.isnan(getattr(st, f))
+                    else:
+                        assert getattr(st, f) == getattr(want.layers[name], f)
 
 
 class TestMetricsCsv:
@@ -297,6 +308,12 @@ class TestMetricsCsv:
         pytest.param(["0a", "0b", "1b", "1a"], "step 1 lists layers ['b', 'a']", id="layers_reordered"),
         pytest.param(["0a", "1a", "1b"],
                      "step 1 lists layers ['a', 'b'], not the first step's ['a']", id="layer_extra"),
+        # The k-th step of the file is not step k.
+        pytest.param(["1a", "1b"], "found step 1 where step 0 was expected", id="first_step_1"),
+        pytest.param(["-1,1.5,a,1,1,0,2", "0a"], "found step -1 where step 0 was expected",
+                     id="first_step_negative"),
+        pytest.param(["0a", "0b", "2,0.5,a,1,1,0,2"], "found step 2 where step 1 was expected",
+                     id="step_gap"),
     ])
     def test_inconsistent_step_rejected(self, tmp_path, rows, message):
         path = self._write_rows(tmp_path, [self._ROWS.get(r, r) for r in rows])
@@ -306,7 +323,7 @@ class TestMetricsCsv:
 
     def test_steps_must_increase(self, tmp_path):
         path = self._write_rows(tmp_path, [self._ROWS[r] for r in ("1a", "1b", "0a", "0b")])
-        with pytest.raises(ValueError, match="not strictly increasing at 0"):
+        with pytest.raises(ValueError, match="found step 1 where step 0 was expected"):
             read_metrics(path)
 
 
