@@ -268,3 +268,60 @@ class TestBoundParams:
 def test_tracker_burn_in():
     assert tracker_burn_in(0.9) == pytest.approx(math.log(2) / math.log(1 / 0.9))
     assert tracker_burn_in(0.0) == 0.0
+
+
+# Streams with two bad rows: each check must name the row it meets first in
+# its own order. h_bounds_check walks one layer at a time; the other two walk
+# one step at a time.
+def _stream_with(bad):
+    """Six steps of layers a, b, c with a unit ratio and H = 0; ``bad`` maps
+    (layer, step) to the ratio and H of that row, or to None to drop it."""
+    records = []
+    for t in range(6):
+        layers = {}
+        for name in ("a", "b", "c"):
+            row = bad.get((name, t), (1.0, 0.0))
+            if row is not None:
+                layers[name] = LayerStats(eta_eff=1e-3, ratio=row[0], h=row[1], dual_grad_norm=0.0)
+        records.append(RunRecord(step=t, loss=1.0, layers=layers))
+    return records
+
+
+_NAN_H = (1.0, math.nan)
+_TWO_BAD_ROWS = [
+    pytest.param(h_bounds_check, {("b", 1): _NAN_H, ("a", 4): _NAN_H},
+                 ValueError, "layer a: missing tracker telemetry at step 4", id="h_bounds_layer_first"),
+    pytest.param(h_bounds_check, {("b", 4): _NAN_H, ("b", 2): _NAN_H},
+                 ValueError, "layer b: missing tracker telemetry at step 2", id="h_bounds_same_layer"),
+    pytest.param(h_bounds_check, {("a", 1): _NAN_H, ("a", 3): None},
+                 ValueError, "layer a: missing tracker telemetry at step 1", id="h_bounds_nan_before_gap"),
+    pytest.param(h_bounds_check, {("b", 1): _NAN_H, ("a", 3): None},
+                 KeyError, "'a'", id="h_bounds_gap_in_earlier_layer"),
+    pytest.param(noise_range_estimate, {("b", 1): _NAN_H, ("a", 4): _NAN_H},
+                 ValueError, "layer b: missing tracker telemetry at step 1", id="noise_range_step_first"),
+    pytest.param(noise_range_estimate, {("c", 2): _NAN_H, ("a", 2): _NAN_H},
+                 ValueError, "layer a: missing tracker telemetry at step 2", id="noise_range_same_step"),
+    pytest.param(noise_range_estimate, {("b", 1): _NAN_H, ("a", 3): None},
+                 ValueError, "layer b: missing tracker telemetry at step 1", id="noise_range_nan_before_gap"),
+    pytest.param(noise_range_estimate, {("c", 1): None, ("a", 3): _NAN_H},
+                 KeyError, "'c'", id="noise_range_gap_before_nan"),
+    pytest.param(alpha_ratio_envelope, {("b", 1): (1.5, 0.0), ("a", 4): (math.nan, 0.0)},
+                 ValueError, "layer b: ratio 1.5 > 1 at step 1", id="ratio_step_first"),
+    pytest.param(alpha_ratio_envelope, {("c", 2): (math.nan, 0.0), ("b", 2): (2.0, 0.0)},
+                 ValueError, "layer b: ratio 2.0 > 1 at step 2", id="ratio_same_step_above_one"),
+    pytest.param(alpha_ratio_envelope, {("b", 3): (math.nan, 0.0), ("c", 3): (1.5, 0.0)},
+                 ValueError, "layer b: missing ratio telemetry at step 3", id="ratio_same_step_nan"),
+]
+
+
+@pytest.mark.parametrize("check,bad,error,message", _TWO_BAD_ROWS)
+def test_first_bad_row_named(check, bad, error, message):
+    profile = NoiseProfile({name: (0.0, 1.0) for name in ("a", "b", "c")})
+    run = {
+        h_bounds_check: lambda records: h_bounds_check(records, _params(profile)),
+        noise_range_estimate: lambda records: noise_range_estimate(records, beta2=0.9),
+        alpha_ratio_envelope: lambda records: alpha_ratio_envelope(records, _params(profile), alpha=0.05),
+    }[check]
+    with pytest.raises(error) as info:
+        run(_stream_with(bad))
+    assert str(info.value) == message

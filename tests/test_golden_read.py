@@ -1,8 +1,9 @@
 """Golden bytes of the read side: ``lanton diagnose`` and ``lanton compare``.
 
 The digests were taken from the code as it stood before ``diagnose`` stopped
-building the task and before ``read_metrics`` was rewritten, on x86-64 Linux
-with Python 3.11 and numpy 2.4.6. A change that alters any byte of
+building the task and before ``read_metrics`` was rewritten (``hetero_twin``:
+before the records became named tuples and the diagnostics single-pass), on
+x86-64 Linux with Python 3.11 and numpy 2.4.6. A change that alters any byte of
 ``diagnostics.json``, of the ``diagnose`` stdout or of the ``compare`` stdout
 for these run directories fails here. Re-pin only for a change that means to
 alter the reports and says why.
@@ -50,10 +51,22 @@ _CASES = {
                  {"kind": "lanton", "eta_max": 0.05, "eta_min": 0.005},
                  {"kind": "fixed_rate_lmo", "eta_max": 0.05, "eta_min": 0.005},
                  [0, 1], 30, 0.1),
+    # The benchmark's hetero_twin shape: the heterogeneous preset (6 hidden
+    # 8x8 layers), option II at interval 1, three seeds.
+    "hetero_twin": ({"kind": "quadratic", "preset": "heterogeneous", "spread": 100.0, "seed": 3},
+                    {"kind": "lanton", "mode": "raw", "noise_option": "II",
+                     "noise_update_interval": 1, "eta_max": 5e-3, "eta_min": 5e-4},
+                    {"kind": "fixed_rate_lmo", "eta_max": 5e-3, "eta_min": 5e-4},
+                    [0, 1, 2], 60, 1.5),
 }
 
 # sha256 of (diagnostics.json, diagnose stdout, compare stdout) per case.
 GOLDEN = {
+    "hetero_twin": (
+        "bd5560a58e0ee9de44ca310f52f06ad977b16af0b234e1e79e6467d06aadcd63",
+        "bd5560a58e0ee9de44ca310f52f06ad977b16af0b234e1e79e6467d06aadcd63",
+        "dbd7378b7af05cbc4d13452cfcfcbc160e832dd5d4253b664eb7dd9e8fdcf16f",
+    ),
     "mlp_pair": (
         "279056a5f18fabf1f8101c8e7d4ec43d43bfafcd8003de599a92ce951c9c62e5",
         "279056a5f18fabf1f8101c8e7d4ec43d43bfafcd8003de599a92ce951c9c62e5",

@@ -231,6 +231,29 @@ class TestExecuteRun:
                         assert getattr(st, f) == getattr(want.layers[name], f)
 
 
+class TestRecords:
+    def test_fields_are_read_only(self):
+        stats = LayerStats(1e-3, 0.5, 0.25, 2.0)
+        rec = RunRecord(3, 0.1, {"a": stats})
+        with pytest.raises(AttributeError):
+            stats.h = 0.0
+        with pytest.raises(AttributeError):
+            rec.loss = 0.0
+        assert (stats.h, rec.loss) == (0.25, 0.1)
+
+    def test_keyword_and_positional_construction(self):
+        stats = LayerStats(eta_eff=1e-3, ratio=0.5, h=0.25, dual_grad_norm=2.0)
+        assert stats == LayerStats(1e-3, 0.5, 0.25, 2.0)
+        assert (stats.eta_eff, stats.ratio, stats.h, stats.dual_grad_norm) == (1e-3, 0.5, 0.25, 2.0)
+        rec = RunRecord(step=3, loss=0.1, layers={"a": stats}, wall_ns=7)
+        assert rec == RunRecord(3, 0.1, {"a": stats}, 7)
+        assert (rec.step, rec.loss, rec.layers, rec.wall_ns) == (3, 0.1, {"a": stats}, 7)
+
+    def test_wall_ns_defaults_to_zero(self):
+        assert RunRecord(3, 0.1, {}).wall_ns == 0
+        assert RunRecord(step=3, loss=0.1, layers={}).wall_ns == 0
+
+
 class TestMetricsCsv:
     def _records(self):
         return [
