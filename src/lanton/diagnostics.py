@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -107,6 +108,31 @@ def beta2_theory_floor(sigma_lo: float, sigma_hi: float, c2: float,
     return 1.0 - sigma_lo ** 4 / denom
 
 
+def _missing_h(records, names) -> None:
+    """Raise at the first record, and in it the first of ``names``, whose
+    tracker value is NaN (a layer a record lacks raises ``KeyError``)."""
+    for rec in records:
+        for name in names:
+            if math.isnan(rec.layers[name].h):
+                raise ValueError(f"layer {name}: missing tracker telemetry at step {rec.step}")
+
+
+def _h_columns(records, names) -> list[list[float]]:
+    """Each layer's tracker values over the stream. A stream with a NaN or a
+    gap is walked record by record instead, to raise where ``_missing_h``
+    meets the first one."""
+    try:
+        columns = [[rec.layers[name].h for rec in records] for name in names]
+    except KeyError:
+        _missing_h(records, names)
+        raise
+    # A column's sum is NaN if one of its values is (or if it holds +inf
+    # and -inf, which _missing_h lets through).
+    if any(math.isnan(sum(column)) for column in columns):
+        _missing_h(records, names)
+    return columns
+
+
 def h_bounds_check(records, params: BoundParams) -> dict:
     """Check the two-sided tracker envelope on one run.
 
@@ -122,37 +148,37 @@ def h_bounds_check(records, params: BoundParams) -> dict:
         if name not in params.profile.radii:
             raise ValueError(f"layer {name}: missing noise radii in profile")
     beta2 = params.beta2
+    c2 = params.c2
     t0 = tracker_burn_in(beta2)
     total = len(records)
+    # The records past the burn-in and their fill 1 - beta2^(t+1), shared
+    # by every layer.
+    checked = [rec.step + 1 >= t0 for rec in records]
+    fills = [1.0 - beta2 ** (rec.step + 1) for rec, c in zip(records, checked) if c]
+    n_checked = len(fills)
+    up_slack = 1.0 + _FP_SLACK
+    lo_slack = 1.0 - _FP_SLACK
     report_layers = []
     for name in names:
         lo, hi = params.profile.radii[name]
+        hs = _h_columns(records, [name])[0]
+        upper_k = 4.0 * hi * hi
+        lower_k = lo * lo
         upper_viol = 0
         lower_viol = 0
-        checked = 0
-        for rec in records:
-            h = rec.layers[name].h
-            if math.isnan(h):
-                raise ValueError(f"layer {name}: missing tracker telemetry at step {rec.step}")
-            n_upd = rec.step + 1
-            if n_upd < t0:
-                continue
-            checked += 1
-            fill = 1.0 - beta2 ** n_upd
-            upper = 4.0 * hi * hi * fill
-            if h > upper * (1.0 + _FP_SLACK) + 1e-15:
+        for h, fill in zip(compress(hs, checked), fills):
+            if h > upper_k * fill * up_slack + 1e-15:
                 upper_viol += 1
-            lower = lo * lo * fill / params.c2
-            if h < lower * (1.0 - _FP_SLACK) - 1e-15:
+            if h < lower_k * fill / c2 * lo_slack - 1e-15:
                 lower_viol += 1
         report_layers.append({
             "layer": name,
             "sigma_lo": lo,
             "sigma_hi": hi,
-            "steps_checked": checked,
+            "steps_checked": n_checked,
             "upper_violations": upper_viol,
-            "lower_violation_rate": (lower_viol / checked) if checked else 0.0,
-            "beta2_theory_floor": beta2_theory_floor(lo, hi, params.c2, total, params.delta),
+            "lower_violation_rate": (lower_viol / n_checked) if n_checked else 0.0,
+            "beta2_theory_floor": beta2_theory_floor(lo, hi, c2, total, params.delta),
         })
     return {"t0": t0, "beta2": beta2, "delta": params.delta, "layers": report_layers}
 
@@ -189,16 +215,20 @@ def alpha_ratio_envelope(records, params: BoundParams, alpha: float,
     max_ratio = -math.inf
     below = 0
     for rec in records:
-        step_min = math.inf
-        for name, stats in rec.layers.items():
-            r = stats.ratio
-            if math.isnan(r):
-                raise ValueError(f"layer {name}: missing ratio telemetry at step {rec.step}")
-            if r > 1.0:
-                raise ValueError(f"layer {name}: ratio {r} > 1 at step {rec.step}")
-            step_min = min(step_min, r)
-            min_ratio = min(min_ratio, r)
-            max_ratio = max(max_ratio, r)
+        ratios = [stats.ratio for stats in rec.layers.values()]
+        step_min = min(ratios, default=math.inf)
+        step_max = max(ratios, default=-math.inf)
+        # min and max may skip a NaN, the sum does not. Only a step with a
+        # NaN or a ratio past 1 is walked row by row, to name the layer.
+        if step_max > 1.0 or math.isnan(sum(ratios)):
+            for name, stats in rec.layers.items():
+                r = stats.ratio
+                if math.isnan(r):
+                    raise ValueError(f"layer {name}: missing ratio telemetry at step {rec.step}")
+                if r > 1.0:
+                    raise ValueError(f"layer {name}: ratio {r} > 1 at step {rec.step}")
+        min_ratio = min(min_ratio, step_min)
+        max_ratio = max(max_ratio, step_max)
         if step_min < alpha_r:
             below += 1
     return {
@@ -227,16 +257,16 @@ def noise_range_estimate(records, beta2: float,
     if records[0].step < 0:
         raise ValueError(f"step {records[0].step} < 0: the tracker recursion starts at step 0")
     names = list(records[0].layers)
-    deltas: dict[str, list[float]] = {name: [] for name in names}
-    prev_h = {name: 0.0 for name in names}
-    for rec in records:
-        for name in names:
-            h = rec.layers[name].h
-            if math.isnan(h):
-                raise ValueError(f"layer {name}: missing tracker telemetry at step {rec.step}")
-            num = h - beta2 * prev_h[name]
-            deltas[name].append(math.sqrt(max(0.0, num) / (1.0 - beta2)))
-            prev_h[name] = h
+    keep = 1.0 - beta2
+    deltas: dict[str, list[float]] = {}
+    sqrt = math.sqrt
+    for name, hs in zip(names, _h_columns(records, names)):
+        column = []
+        prev = 0.0
+        for h in hs:
+            column.append(sqrt(max(0.0, h - beta2 * prev) / keep))
+            prev = h
+        deltas[name] = column
     per_layer = []
     for name in names:
         vals = np.asarray(deltas[name])

@@ -18,6 +18,7 @@ import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,9 +105,9 @@ class ExperimentConfig:
                 raise ConfigError(f"seeds[{i}]", f"duplicate seed {seed}")
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """One step of telemetry: loss plus per-layer stats."""
+class RunRecord(NamedTuple):
+    """One step of telemetry: loss plus per-layer stats. A named tuple, like
+    :class:`LayerStats`, so the reader builds one cheaply per step."""
 
     step: int
     loss: float
@@ -366,41 +367,45 @@ def execute_run(cfg: ExperimentConfig, seed: int, task=None) -> tuple[list[RunRe
     # The seed's scratch arrays: reused by every step, freed with the seed,
     # never shared with another seed's thread.
     work: dict = {}
-    for t in range(cfg.total_steps):
-        tick = time.perf_counter_ns()
-        loss, exact = value_grad(task, params, work)
-        if not math.isfinite(loss):
-            aborted_at = t
-            break
-        twins = None
-        if needs_twins(cfg.optimizer_kind, opt, t):
-            grads, twins = perturb_gradients(layers, exact, task.noise, rngs, twin=True)
-        else:
-            grads = perturb_gradients(layers, exact, task.noise, rngs)
-        try:
-            if cfg.optimizer_kind == "lanton":
-                deltas, stats = lanton_step(
-                    state, grads, opt, mode=cfg.mode, twins=twins, params=params,
-                    telemetry=cfg.telemetry,
-                )
+    # A diverging seed overflows on its way to a non-finite loss, which
+    # ends the seed below; numpy's overflow warning would only reach stderr
+    # as plain text. Entered once per seed, not once per step.
+    with np.errstate(over="ignore"):
+        for t in range(cfg.total_steps):
+            tick = time.perf_counter_ns()
+            loss, exact = value_grad(task, params, work)
+            if not math.isfinite(loss):
+                aborted_at = t
+                break
+            twins = None
+            if needs_twins(cfg.optimizer_kind, opt, t):
+                grads, twins = perturb_gradients(layers, exact, task.noise, rngs, twin=True)
             else:
-                deltas, stats = baseline_step(
-                    cfg.optimizer_kind, state, grads, opt, mode=cfg.mode, params=params,
-                    telemetry=cfg.telemetry,
-                )
-        except GradientError:
-            # A non-finite gradient ends this seed like a non-finite loss;
-            # the other seeds run on.
-            aborted_at = t
-            break
-        for name, delta in deltas.items():
-            params[name] += delta
-        records.append(RunRecord(
-            step=t,
-            loss=loss,
-            layers=stats,
-            wall_ns=time.perf_counter_ns() - tick,
-        ))
+                grads = perturb_gradients(layers, exact, task.noise, rngs)
+            try:
+                if cfg.optimizer_kind == "lanton":
+                    deltas, stats = lanton_step(
+                        state, grads, opt, mode=cfg.mode, twins=twins, params=params,
+                        telemetry=cfg.telemetry,
+                    )
+                else:
+                    deltas, stats = baseline_step(
+                        cfg.optimizer_kind, state, grads, opt, mode=cfg.mode, params=params,
+                        telemetry=cfg.telemetry,
+                    )
+            except GradientError:
+                # A non-finite gradient ends this seed like a non-finite loss;
+                # the other seeds run on.
+                aborted_at = t
+                break
+            for name, delta in deltas.items():
+                params[name] += delta
+            records.append(RunRecord(
+                step=t,
+                loss=loss,
+                layers=stats,
+                wall_ns=time.perf_counter_ns() - tick,
+            ))
     losses = [r.loss for r in records]
     summary = {
         "seed": seed,
@@ -481,7 +486,9 @@ def read_metrics(path) -> list[RunRecord]:
     The k-th step of the file must be step k, as a run writes them. Every
     row of a step must repeat the step's loss text, and every step must
     list the first step's layers once each, in the same order; anything
-    else is a ``ValueError`` naming the file and the step.
+    else is a ``ValueError`` naming the file and the step. So is a row
+    without seven fields, and a field that does not parse as a number (the
+    step as an integer), which also names the column.
     """
     # Split on LF alone, the only line break the writer emits: a layer name
     # may hold other characters that str.splitlines() would break at.
@@ -492,30 +499,59 @@ def read_metrics(path) -> list[RunRecord]:
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"{path}: missing or unexpected header")
     records: list[RunRecord] = []
-    step_text = loss_text = None
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != 7:
-            raise ValueError(f"{path}: malformed row {line!r}")
-        row_step, row_loss, name, eta_eff, ratio, h, dual_grad_norm = parts
-        if row_step != step_text:
-            step = int(row_step)
-            if step != len(records):
-                raise ValueError(f"{path}: found step {step} where step {len(records)} was expected")
-            step_text, loss_text, layers = row_step, row_loss, {}
-            records.append(RunRecord(step, float(row_loss), layers))
-        elif row_loss != loss_text:
-            raise ValueError(f"{path}: step {step}: loss {row_loss!r} differs from "
-                             f"the step's first row ({loss_text!r})")
-        elif name in layers:
-            raise ValueError(f"{path}: step {step}: layer {name!r} listed twice")
-        layers[name] = LayerStats(float(eta_eff), float(ratio), float(h), float(dual_grad_norm))
+    step_text = loss_text = problem = None
+    # In the loop only the unpacking, int() and float() raise; a row that
+    # breaks a rule between rows sets ``problem`` and ends the loop.
+    try:
+        for line in lines[1:]:
+            row_step, row_loss, name, eta_eff, ratio, h, dual_grad_norm = line.split(",")
+            if row_step != step_text:
+                step = int(row_step)
+                if step != len(records):
+                    problem = f"found step {step} where step {len(records)} was expected"
+                    break
+                step_text, loss_text, layers = row_step, row_loss, {}
+                records.append(RunRecord(step, float(row_loss), layers))
+            elif row_loss != loss_text:
+                problem = (f"step {step}: loss {row_loss!r} differs from "
+                           f"the step's first row ({loss_text!r})")
+                break
+            elif name in layers:
+                problem = f"step {step}: layer {name!r} listed twice"
+                break
+            layers[name] = LayerStats(float(eta_eff), float(ratio), float(h), float(dual_grad_norm))
+    except ValueError:
+        problem = _unreadable_row(line)
+        if problem is None:
+            raise
+    if problem is not None:
+        raise ValueError(f"{path}: {problem}")
     order = list(records[0].layers) if records else []
     for rec in records:
         if list(rec.layers) != order:
             raise ValueError(f"{path}: step {rec.step} lists layers {list(rec.layers)}, "
                              f"not the first step's {order}")
     return records
+
+
+def _unreadable_row(line: str) -> str | None:
+    """Why ``read_metrics`` cannot take a row: a field count other than
+    seven, or the first numeric field, in column order, that does not parse."""
+    parts = line.split(",")
+    if len(parts) != 7:
+        return f"malformed row {line!r}"
+    step = parts[0]
+    try:
+        int(step)
+    except ValueError:
+        return f"step {step!r} is not an integer"
+    for column, text in zip(CSV_HEADER.split(","), parts):
+        if column not in ("step", "layer"):
+            try:
+                float(text)
+            except ValueError:
+                return f"step {step}: {column} {text!r} is not a number"
+    return None
 
 
 def _write_text_atomic(path: str, text: str) -> None:

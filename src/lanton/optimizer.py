@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -234,9 +235,10 @@ def alpha_and_ratio(state: LantonState, cfg: LantonConfig):
     return alphas, ratios
 
 
-@dataclass(frozen=True)
-class LayerStats:
-    """Telemetry produced for one layer by one step."""
+class LayerStats(NamedTuple):
+    """Telemetry produced for one layer by one step. A named tuple, not a
+    frozen dataclass: every step builds one per layer and every CSV read one
+    per row, and a tuple is built without a setattr per field."""
 
     eta_eff: float
     ratio: float

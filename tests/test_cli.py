@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -316,17 +318,25 @@ def _repeat_first_row_of_step_5(lines):
     return lines[:i + 1] + lines[i:]
 
 
-def _other_loss_in_step_5(lines):
-    i = next(i for i, l in enumerate(lines) if l.startswith("5,"))
-    parts = lines[i + 1].split(",")
-    parts[1] = "banana"
-    return lines[:i + 1] + [",".join(parts)] + lines[i + 2:]
+def _field_of_step_5(row, column, text):
+    """Sets field ``column`` of the ``row``-th row of step 5 to ``text``."""
+    def corrupt(lines):
+        i = next(i for i, l in enumerate(lines) if l.startswith("5,")) + row
+        parts = lines[i].split(",")
+        parts[column] = text
+        return lines[:i] + [",".join(parts)] + lines[i + 1:]
+    return corrupt
 
 
 @pytest.mark.parametrize("corrupt,message", [
     pytest.param(_drop_qk_row_of_step_5, "step 5 lists layers", id="layer_missing"),
     pytest.param(_repeat_first_row_of_step_5, "step 5: layer 'mlp' listed twice", id="layer_twice"),
-    pytest.param(_other_loss_in_step_5, "step 5: loss 'banana'", id="loss_differs"),
+    pytest.param(_field_of_step_5(1, 1, "banana"), "step 5: loss 'banana'", id="loss_differs"),
+    pytest.param(_field_of_step_5(1, 3, "banana"), "step 5: eta_eff 'banana' is not a number",
+                 id="eta_eff_not_a_number"),
+    pytest.param(_field_of_step_5(0, 1, "banana"), "step 5: loss 'banana' is not a number",
+                 id="loss_not_a_number"),
+    pytest.param(_field_of_step_5(0, 0, "x"), "step 'x' is not an integer", id="step_not_an_integer"),
 ])
 def test_readers_reject_inconsistent_csv(tmp_path, capsys, corrupt, message):
     a, b = _two_runs(tmp_path)
@@ -341,6 +351,20 @@ def test_readers_reject_inconsistent_csv(tmp_path, capsys, corrupt, message):
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
         assert err["message"].startswith(f"{csv}: ") and message in err["message"]
+
+
+def test_diverging_seed_prints_no_warning(tmp_path):
+    # The loss overflows on its way to inf: the seed ends at step 30 and
+    # stderr stays empty (it is kept for one JSON error object).
+    config = _write_config(
+        tmp_path, total_steps=40, optimizer={"kind": "sgd", "eta_min": 97.8, "eta_max": 299},
+        task={"kind": "quadratic", "preset": "heterogeneous", "shape": [1, 2], "smoothness": 629.45})
+    src = os.path.dirname(os.path.dirname(lanton.harness.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-W", "default::RuntimeWarning", "-m", "lanton.cli", "run", config],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["per_seed"][0]["aborted_at"] == 30
 
 
 def test_diagnose_builds_no_mlp_dataset(tmp_path, capsys, monkeypatch):
