@@ -103,6 +103,10 @@ class ExperimentConfig:
             check_integer(seed, f"seeds[{i}]", lo=0)
             if seed in self.seeds[:i]:
                 raise ConfigError(f"seeds[{i}]", f"duplicate seed {seed}")
+        # Checked here, not only in parse_config, so that --out and sweep's
+        # replace() meet the same rule.
+        if not self.output_path:
+            raise ConfigError("output_path", "expected a non-empty path")
 
 
 class RunRecord(NamedTuple):

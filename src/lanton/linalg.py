@@ -1,4 +1,5 @@
-"""Dense float64 kernels: Frobenius norm and one-sided Jacobi SVD.
+"""Dense float64 kernels: Frobenius norm, LAPACK singular values and
+one-sided Jacobi SVD.
 
 Everything here is a pure function on plain numpy arrays. Matrices are 2-D
 float64 arrays in row-major order, vectors are 1-D float64 arrays. All kernels
@@ -11,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 __all__ = [
     "SvdConvergenceError",
@@ -19,6 +21,7 @@ __all__ = [
     "as_vector",
     "require_finite",
     "frobenius_norm",
+    "singular_values",
     "jacobi_svd",
 ]
 
@@ -74,6 +77,26 @@ def require_finite(name: str, arr: np.ndarray) -> None:
 def frobenius_norm(a) -> float:
     r = np.asarray(a, dtype=np.float64).ravel()
     return math.sqrt(float(np.dot(r, r)))
+
+
+def _raise_svd_nonconvergence(err, flag):
+    raise LinAlgError("SVD did not converge")
+
+
+@np.errstate(call=_raise_svd_nonconvergence, invalid="call",
+             over="ignore", divide="ignore", under="ignore")
+def singular_values(a) -> np.ndarray:
+    """Singular values of a matrix, descending, as a float64 vector.
+
+    The same LAPACK gufunc, signature and floating-point error state as
+    ``np.linalg.svd(a, compute_uv=False)`` on a float64 matrix, so the
+    result has the same bits; only numpy's Python wrapper around it is
+    skipped. Any real input is read as float64 in any layout. A NaN entry
+    raises ``LinAlgError("SVD did not converge")``; an infinite one gives
+    NaNs. The error state is set per call through the decorator, which keeps
+    it thread-local and restores the caller's on return.
+    """
+    return _umath_linalg.svd(a, signature="d->d")
 
 
 def _complete_orthonormal(u: np.ndarray, missing: list[int]) -> None:

@@ -15,6 +15,11 @@ Layers fall into three groups:
 * ``VECTOR_NORM``    -- gain/bias vectors.
                        Primal norm: rms. Dual norm: sqrt(d) * euclidean.
 
+The spectral and nuclear norms read their singular values from
+``linalg.singular_values``: LAPACK's SVD gufunc called straight, with the bits
+of ``np.linalg.svd(x, compute_uv=False)`` but without its Python wrapper,
+which on an 8x8 matrix costs about a quarter of the call.
+
 Zero inputs return exactly 0; there are no epsilon floors here because a zero
 norm is meaningful (a noiseless or converged layer).
 """
@@ -26,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector
+from .linalg import as_matrix, as_vector, singular_values
 
 __all__ = ["Group", "nuclear_norm", "rms_norm", "dual_norm", "primal_norm"]
 
@@ -45,7 +50,7 @@ def nuclear_norm(a) -> float:
 def _nuclear(a: np.ndarray) -> float:
     # Trusts a checked matrix (see as_matrix): the LAPACK singular values
     # and their sum, nothing else.
-    return float(np.linalg.svd(a, compute_uv=False).sum())
+    return float(singular_values(a).sum())
 
 
 def rms_norm(w) -> float:
@@ -96,7 +101,7 @@ def primal_norm(group: Group, x) -> float:
     x = _check_group_shape(group, x)
     if group is Group.HIDDEN:
         d_out, d_in = x.shape
-        top = float(np.linalg.svd(x, compute_uv=False)[0])
+        top = float(singular_values(x)[0])
         return math.sqrt(d_in / d_out) * top
     if group is Group.EMBEDDING_HEAD:
         d_in = x.shape[1]

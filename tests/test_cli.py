@@ -383,3 +383,24 @@ def test_diagnose_builds_no_mlp_dataset(tmp_path, capsys, monkeypatch):
     report = json.loads(capsys.readouterr().out)
     assert [entry["seed"] for entry in report["per_seed"]] == [0, 1]
     assert report["per_seed"][0]["alpha_ratio"]["layer_groups"] == {"w1": "hidden", "w2": "hidden"}
+
+
+
+@pytest.mark.parametrize("argv,overrides", [
+    pytest.param(["run", "{config}"], {"output_path": ""}, id="config"),
+    pytest.param(["run", "{config}", "--out", ""], {}, id="run_out_flag"),
+    pytest.param(["sweep", "{config}", "--grid", "{grid}", "--out", ""], {}, id="sweep_out_flag"),
+])
+def test_empty_output_path_named(tmp_path, capsys, argv, overrides):
+    # An empty path names no directory: a config error naming the field,
+    # whether it comes from the config file or from --out.
+    config = _write_config(tmp_path, total_steps=5, **overrides)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"optimizer.eta_max": [1e-3]}))
+    paths = {"{config}": config, "{grid}": str(grid)}
+    assert main([paths.get(a, a) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert (err["error"], err["field"]) == ("config", "output_path")
+    assert not (tmp_path / "run").exists()

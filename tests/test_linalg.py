@@ -1,13 +1,20 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lanton.linalg import (
     SvdConvergenceError,
+    as_matrix,
     frobenius_norm,
     jacobi_svd,
+    singular_values,
 )
+from lanton.norms import Group, dual_norm, nuclear_norm, primal_norm
 
 
 @pytest.mark.parametrize("mat,expected", [
@@ -116,3 +123,76 @@ def test_norm_sandwich_invariant():
         fro = frobenius_norm(a)
         assert spec <= fro * (1.0 + 1e-9)
         assert fro <= math.sqrt(min(shape)) * spec + 1e-9 * (1.0 + fro)
+
+
+# Row, column and square matrices up to 64x64, in the dtypes and layouts a
+# caller may pass: float64, float32 and int64, row-major, column-major, or a
+# transposed view.
+_N = st.integers(1, 64)
+_SHAPE = st.one_of(_N.map(lambda n: (1, n)), _N.map(lambda n: (n, 1)), _N.map(lambda n: (n, n)))
+_ELEMENTS = {
+    np.float64: st.floats(-1e6, 1e6, allow_subnormal=False),
+    np.float32: st.floats(-1e3, 1e3, allow_subnormal=False, width=32),
+    np.int64: st.integers(-1000, 1000),
+}
+
+
+@st.composite
+def _matrices(draw):
+    shape = draw(_SHAPE)
+    dtype = draw(st.sampled_from(list(_ELEMENTS)))
+    layout = draw(st.sampled_from(["C", "F", "T"]))
+    if layout == "T":
+        return draw(hnp.arrays(dtype, shape[::-1], elements=_ELEMENTS[dtype])).T
+    x = draw(hnp.arrays(dtype, shape, elements=_ELEMENTS[dtype]))
+    return np.asfortranarray(x) if layout == "F" else x
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@given(_matrices())
+def test_singular_values_have_the_bits_of_numpys_svd(x):
+    # numpy's own wrapper on the row-major float64 copy is the reference.
+    ref = np.linalg.svd(as_matrix(x), compute_uv=False)
+    assert singular_values(x).dtype == np.float64
+    assert _hex(singular_values(x)) == _hex(ref)
+    d_out, d_in = x.shape
+    assert nuclear_norm(x).hex() == float(ref.sum()).hex()
+    assert dual_norm(Group.HIDDEN, x).hex() == (math.sqrt(d_out / d_in) * float(ref.sum())).hex()
+    assert primal_norm(Group.HIDDEN, x).hex() == (math.sqrt(d_in / d_out) * float(ref[0])).hex()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (8, 8), (3, 7)])
+def test_singular_values_of_nan_raise_without_a_warning(shape):
+    a = np.ones(shape)
+    a[0, -1] = np.nan
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
+            singular_values(a)
+        with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
+            dual_norm(Group.HIDDEN, a)
+    assert caught == []
+
+
+def test_singular_values_of_inf_are_nan():
+    a = np.ones((8, 8))
+    a[2, 3] = np.inf
+    s = singular_values(a)
+    assert np.isnan(s).all()
+    assert _hex(s) == _hex(np.linalg.svd(a, compute_uv=False))
+
+
+def test_singular_values_keep_the_callers_error_state():
+    def handler(err, flag):
+        raise AssertionError("caller's handler ran")
+
+    with np.errstate(over="ignore", call=handler):
+        before = (np.geterr(), np.geterrcall())
+        singular_values(np.eye(3))
+        with pytest.raises(np.linalg.LinAlgError):
+            singular_values(np.full((2, 2), np.nan))
+        assert (np.geterr(), np.geterrcall()) == before
+        assert np.geterr()["over"] == "ignore"
