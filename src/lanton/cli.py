@@ -6,6 +6,7 @@ Failures print a machine-readable JSON object on stderr and exit nonzero.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -37,7 +38,10 @@ from .tasks import NoiseProfile
 __all__ = ["main"]
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process, on the first call rather than at import;
+    # parse_args leaves the parser as it found it, so every call shares it.
     # Global flags accepted before or after the subcommand. SUPPRESS keeps a
     # subparser from overwriting a value the top-level parser already set.
     common = argparse.ArgumentParser(add_help=False)
@@ -126,9 +130,10 @@ def _cmd_diagnose(args) -> int:
     # step. A check whose telemetry column the run switched off is skipped.
     interval_ok = (cfg.optimizer_kind == "lanton" and opt.noise_option == "II"
                    and opt.noise_update_interval == 1 and cfg.telemetry.h)
+    names = [spec.name for spec, _ in layers]
     per_seed = []
     for seed in cfg.seeds:
-        records = read_metrics(os.path.join(args.dir, f"seed_{seed}.csv"))
+        records = read_metrics(os.path.join(args.dir, f"seed_{seed}.csv"), names, cfg.total_steps)
         entry = {"seed": seed, "alpha_ratio": None}
         if cfg.telemetry.ratio:
             entry["alpha_ratio"] = alpha_ratio_envelope(records, params, opt.alpha, layer_groups=layer_groups)

@@ -484,7 +484,7 @@ def emit_metrics(records, path) -> None:
     _write_text_atomic(path, "\n".join(lines) + "\n")
 
 
-def read_metrics(path) -> list[RunRecord]:
+def read_metrics(path, layers=None, max_steps=None) -> list[RunRecord]:
     """Re-read an emitted CSV into records (wall times are not persisted).
 
     The k-th step of the file must be step k, as a run writes them. Every
@@ -493,6 +493,11 @@ def read_metrics(path) -> list[RunRecord]:
     else is a ``ValueError`` naming the file and the step. So is a row
     without seven fields, and a field that does not parse as a number (the
     step as an integer), which also names the column.
+
+    A reader that knows the run's config holds the file to it: ``layers``
+    is the task's layer names in order, which every step must list, and
+    ``max_steps`` the run's ``total_steps``, which the file may fall short
+    of (a seed may abort) but not exceed.
     """
     # Split on LF alone, the only line break the writer emits: a layer name
     # may hold other characters that str.splitlines() would break at.
@@ -514,23 +519,27 @@ def read_metrics(path) -> list[RunRecord]:
                 if step != len(records):
                     problem = f"found step {step} where step {len(records)} was expected"
                     break
-                step_text, loss_text, layers = row_step, row_loss, {}
-                records.append(RunRecord(step, float(row_loss), layers))
+                step_text, loss_text, stats = row_step, row_loss, {}
+                records.append(RunRecord(step, float(row_loss), stats))
             elif row_loss != loss_text:
                 problem = (f"step {step}: loss {row_loss!r} differs from "
                            f"the step's first row ({loss_text!r})")
                 break
-            elif name in layers:
+            elif name in stats:
                 problem = f"step {step}: layer {name!r} listed twice"
                 break
-            layers[name] = LayerStats(float(eta_eff), float(ratio), float(h), float(dual_grad_norm))
+            stats[name] = LayerStats(float(eta_eff), float(ratio), float(h), float(dual_grad_norm))
     except ValueError:
         problem = _unreadable_row(line)
         if problem is None:
             raise
     if problem is not None:
         raise ValueError(f"{path}: {problem}")
+    if max_steps is not None and len(records) > max_steps:
+        raise ValueError(f"{path}: found step {max_steps} in a run of {max_steps} steps")
     order = list(records[0].layers) if records else []
+    if layers is not None and records and order != list(layers):
+        raise ValueError(f"{path}: step 0 lists layers {order}, not the config's {list(layers)}")
     for rec in records:
         if list(rec.layers) != order:
             raise ValueError(f"{path}: step {rec.step} lists layers {list(rec.layers)}, "
@@ -634,9 +643,10 @@ def read_run_config(path: str) -> ExperimentConfig:
 def load_run_dir(path: str):
     """The typed config and the per-seed losses of a run directory."""
     cfg = read_run_config(path)
+    names = [spec.name for spec, _ in task_layers(cfg.task_section)]
     losses_by_seed = {}
     for seed in cfg.seeds:
-        records = read_metrics(os.path.join(path, f"seed_{seed}.csv"))
+        records = read_metrics(os.path.join(path, f"seed_{seed}.csv"), names, cfg.total_steps)
         losses_by_seed[seed] = [r.loss for r in records]
     return cfg, losses_by_seed
 

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy._core._ufunc_config import _extobj_contextvar, _make_extobj
 from numpy.linalg import LinAlgError, _umath_linalg
 
 __all__ = [
@@ -83,8 +84,14 @@ def _raise_svd_nonconvergence(err, flag):
     raise LinAlgError("SVD did not converge")
 
 
-@np.errstate(call=_raise_svd_nonconvergence, invalid="call",
-             over="ignore", divide="ignore", under="ignore")
+# The floating-point error state np.linalg.svd runs its gufunc under, built
+# once: numpy's errstate would rebuild this object on every call. Fields it
+# does not name (the ufunc buffer size) keep their import-time values, which
+# do not change a result's bits.
+_SVD_ERRSTATE = _make_extobj(call=_raise_svd_nonconvergence, invalid="call",
+                             over="ignore", divide="ignore", under="ignore")
+
+
 def singular_values(a) -> np.ndarray:
     """Singular values of a matrix, descending, as a float64 vector.
 
@@ -93,10 +100,15 @@ def singular_values(a) -> np.ndarray:
     result has the same bits; only numpy's Python wrapper around it is
     skipped. Any real input is read as float64 in any layout. A NaN entry
     raises ``LinAlgError("SVD did not converge")``; an infinite one gives
-    NaNs. The error state is set per call through the decorator, which keeps
-    it thread-local and restores the caller's on return.
+    NaNs. The error state is set per call on numpy's context variable, as
+    ``np.errstate`` does, which keeps it thread-local and restores the
+    caller's on return.
     """
-    return _umath_linalg.svd(a, signature="d->d")
+    token = _extobj_contextvar.set(_SVD_ERRSTATE)
+    try:
+        return _umath_linalg.svd(a, signature="d->d")
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 def _complete_orthonormal(u: np.ndarray, missing: list[int]) -> None:

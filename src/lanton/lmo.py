@@ -39,6 +39,13 @@ __all__ = [
 # around 1 instead of converging to 1 exactly.
 QUINTIC_COEFFS = (3.4445, -4.7750, 2.0315)
 
+# The same coefficients as read-only 0-d float64 arrays: an in-place product
+# with one skips the conversion numpy makes of a Python float on every call,
+# and gives the same bits.
+_QUINTIC = np.array(QUINTIC_COEFFS)
+_QUINTIC.flags.writeable = False
+_QUINTIC_ARRAYS = tuple(_QUINTIC[i, ...] for i in range(len(QUINTIC_COEFFS)))
+
 DEFAULT_NS_STEPS = 5
 
 # Regression envelope for the 5-step quintic iteration, measured by
@@ -64,6 +71,7 @@ def newton_schulz(a, steps: int = DEFAULT_NS_STEPS) -> np.ndarray:
     float64 matrix (see ``as_matrix``), a no-op for the matrix ``lmo``
     hands it, and the zero check that the max-abs scale gives for free.
     Any input layout or dtype gives the bits of its row-major float64 copy.
+    The result is a new array, sharing no memory with the input.
     """
     a = as_matrix(a)
     if steps < 1:
@@ -71,19 +79,37 @@ def newton_schulz(a, steps: int = DEFAULT_NS_STEPS) -> np.ndarray:
     scale = float(np.abs(a).max())
     if scale == 0.0:
         raise ValueError("newton_schulz: zero matrix has no polar factor")
-    ca, cb, cc = QUINTIC_COEFFS
+    ca, cb, cc = _QUINTIC_ARRAYS
     x = a / scale
-    x = x / (frobenius_norm(x) + 1e-12)
+    x /= frobenius_norm(x) + 1e-12
     transposed = x.shape[0] > x.shape[1]
     if transposed:
         x = x.T
+    # The iterate and the three products live in arrays made for this call
+    # (so threads share nothing), updated in place. np.dot reaches the same
+    # BLAS calls as @ without the ufunc machinery, and the update keeps the
+    # float order of x = ca*x + cb*gx + cc*(g @ gx).
+    k, n = x.shape
+    g = np.empty((k, k))
+    gx = np.empty((k, n))
+    ggx = np.empty((k, n))
     for _ in range(steps):
-        g = x @ x.T
-        gx = g @ x
-        x = ca * x + cb * gx + cc * (g @ gx)
-    if transposed:
-        x = x.T
-    return x
+        np.dot(x, x.T, g)
+        np.dot(g, x, gx)
+        np.dot(g, gx, ggx)
+        if x.flags.c_contiguous:
+            x *= ca
+        else:
+            # A tall input's transposed view: its first products read the
+            # view and this update copies it to row-major, the layouts the
+            # iterate of that expression had. From k = 16 BLAS may sum a
+            # product of another layout in another order.
+            x = np.multiply(x, ca, order="C")
+        gx *= cb
+        x += gx
+        ggx *= cc
+        x += ggx
+    return x.T if transposed else x
 
 
 def polar_exact(a) -> np.ndarray:

@@ -49,8 +49,8 @@ def nuclear_norm(a) -> float:
 
 def _nuclear(a: np.ndarray) -> float:
     # Trusts a checked matrix (see as_matrix): the LAPACK singular values
-    # and their sum, nothing else.
-    return float(singular_values(a).sum())
+    # and their sum (the reduction ndarray.sum wraps), nothing else.
+    return float(np.add.reduce(singular_values(a)))
 
 
 def rms_norm(w) -> float:

@@ -17,7 +17,6 @@ from lanton.diagnostics import (
     alpha_ratio_envelope,
     compute_alpha_r,
     h_bounds_check,
-    rank_correlation,
 )
 from lanton.harness import (
     build_task,
@@ -36,6 +35,8 @@ from lanton.lmo import (
 from lanton.norms import Group, dual_norm, primal_norm
 from lanton.optimizer import LantonConfig, LayerSpec, init_state, update_noise_tracker
 from lanton.tasks import mlp_value_grad, quadratic_value_grad
+
+from spearman import rank_correlation
 
 
 def _report(name: str, detail: str = "") -> None:

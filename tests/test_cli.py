@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import lanton.cli
 import lanton.harness
 import lanton.tasks
 from lanton.cli import main
@@ -404,3 +405,137 @@ def test_empty_output_path_named(tmp_path, capsys, argv, overrides):
     err = json.loads(captured.err)
     assert (err["error"], err["field"]) == ("config", "output_path")
     assert not (tmp_path / "run").exists()
+
+
+def _rename_layer5(lines):
+    return [l.replace(",layer5,", ",zz,") for l in lines]
+
+
+def _drop_layer5(lines):
+    return [l for l in lines if ",layer5," not in l]
+
+
+def _append_step_30(lines):
+    return lines + [l.replace("29,", "30,", 1) for l in lines if l.startswith("29,")]
+
+
+_LAYERS = [f"layer{i}" for i in range(6)]
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    pytest.param(_drop_layer5, f"step 0 lists layers {_LAYERS[:5]}, not the config's {_LAYERS}",
+                 id="layer_dropped"),
+    pytest.param(_rename_layer5, f"step 0 lists layers {_LAYERS[:5] + ['zz']}, not the config's {_LAYERS}",
+                 id="layer_renamed"),
+    pytest.param(_append_step_30, "found step 30 in a run of 30 steps", id="step_past_total_steps"),
+])
+@pytest.mark.parametrize("command", ["diagnose", "compare"])
+def test_readers_hold_csv_to_config(tmp_path, capsys, corrupt, message, command):
+    # Each corruption leaves a CSV that agrees with itself; only the run's
+    # config.json says its layers or its step count are wrong.
+    dirs = [str(tmp_path / name) for name in ("a", "b")]
+    for d in dirs:
+        assert main(["run", _write_config(
+            tmp_path, output_path=d, seeds=[0, 1], total_steps=30,
+            task={"kind": "quadratic", "preset": "heterogeneous"})]) == 0
+    csv = os.path.join(dirs[0], "seed_0.csv")
+    with open(csv) as f:
+        lines = f.read().splitlines()
+    with open(csv, "w") as f:
+        f.write("\n".join(corrupt(lines)) + "\n")
+    capsys.readouterr()
+    argv = ["diagnose", dirs[0]] if command == "diagnose" else ["compare", *dirs, "--threshold", "0.5"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ValueError"
+    assert err["message"] == f"{csv}: {message}"
+
+
+def test_readers_take_a_seed_that_stopped_early(tmp_path, capsys):
+    # A seed that aborts writes fewer steps than total_steps; that is valid.
+    dirs = [str(tmp_path / name) for name in ("a", "b")]
+    for d in dirs:
+        assert main(["run", _write_config(tmp_path, output_path=d, total_steps=10)]) == 0
+    csv = os.path.join(dirs[0], "seed_0.csv")
+    with open(csv) as f:
+        lines = f.read().splitlines()
+    with open(csv, "w") as f:
+        f.write("\n".join(l for l in lines if not l.startswith(("8,", "9,"))) + "\n")
+    capsys.readouterr()
+    for argv in _readers(*dirs):
+        assert main(argv) == 0, capsys.readouterr().err
+        capsys.readouterr()
+
+
+_PARSE_CASES = [
+    ["--seed-override", "3,4", "run", "c.json", "--workers", "2"],
+    ["run", "c.json", "--out", "o"],
+    ["compare", "a", "b", "--threshold", "0.5", "--raw-crossing"],
+    ["compare", "a", "b", "--threshold", "0.25"],
+    ["--out", "p", "diagnose", "d", "--delta", "0.1"],
+    ["diagnose", "d"],
+    ["sweep", "c.json", "--grid", "g.json", "--seed-override", "1"],
+    ["run", "c.json"],
+]
+
+
+def test_parser_is_built_once_and_parses_alike():
+    fresh = [vars(lanton.cli._build_parser.__wrapped__().parse_args(argv)) for argv in _PARSE_CASES]
+    assert lanton.cli._build_parser() is lanton.cli._build_parser()
+    for _ in range(2):
+        shared = [vars(lanton.cli._build_parser().parse_args(argv)) for argv in _PARSE_CASES]
+        assert shared == fresh
+        _PARSE_CASES.reverse()
+        fresh.reverse()
+
+
+def test_back_to_back_main_calls(tmp_path, capsys):
+    # The same calls in two orders give the same outputs: no call leaves
+    # anything behind in the shared parser for the next.
+    config = _write_config(tmp_path, total_steps=25, seeds=[0, 1])
+    run_a, run_b = str(tmp_path / "a"), str(tmp_path / "b")
+    calls = [
+        ["run", config, "--out", run_a],
+        ["--seed-override", "0,1", "--out", run_b, "run", config, "--workers", "2"],
+        ["compare", run_a, run_b, "--threshold", "0.5", "--raw-crossing"],
+        ["diagnose", run_a, "--delta", "0.1"],
+        ["compare", run_a, run_b, "--threshold", "0.5"],
+        ["diagnose", run_b],
+    ]
+    outputs = []
+    for order in (calls, calls[:2] + calls[:1:-1]):
+        got = {}
+        for argv in order:
+            assert main(argv) == 0
+            got[tuple(argv)] = capsys.readouterr()
+        outputs.append(got)
+    assert outputs[0] == outputs[1]
+    assert outputs[0][tuple(calls[2])].out != outputs[0][tuple(calls[4])].out
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["diagnose", "--help"], ["compare", "-h"]])
+def test_help_text_from_the_shared_parser(capsys, argv):
+    # The help a fresh parser prints, before and after other calls.
+    with pytest.raises(SystemExit) as exc:
+        lanton.cli._build_parser.__wrapped__().parse_args(argv)
+    assert exc.value.code == 0
+    expected = capsys.readouterr()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr() == expected
+        main(["diagnose", "no-such-dir"])
+        capsys.readouterr()
+    assert expected.out.startswith("usage: lanton")
+
+
+def test_bad_flag_is_argparse_error(capsys):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["diagnose", "d", "--bogus"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: lanton") and "unrecognized arguments: --bogus" in err

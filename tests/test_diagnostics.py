@@ -11,13 +11,14 @@ from lanton.diagnostics import (
     default_equivalence_constants,
     h_bounds_check,
     noise_range_estimate,
-    rank_correlation,
     tracker_burn_in,
 )
 from lanton.harness import RunRecord, parse_config, execute_run, build_task
 from lanton.norms import Group
 from lanton.optimizer import LayerStats
 from lanton.tasks import NoiseProfile
+
+from spearman import rank_correlation
 
 
 def _record(step, h_by_layer, ratio_by_layer=None, loss=1.0):

@@ -24,6 +24,7 @@ from lanton.harness import (
     read_run_config,
     run_experiment,
     steps_to_threshold,
+    task_layers,
     task_signature,
 )
 from lanton.optimizer import OPTIONS, LayerStats
@@ -383,12 +384,11 @@ def _fabricate_run(path, losses_by_seed, task_seed=0, kind="lanton"):
         optimizer={"kind": kind}, seeds=list(losses_by_seed), output_path=path)))
     with open(os.path.join(path, "config.json"), "w") as f:
         json.dump(canonical_config(cfg), f)
+    stats = LayerStats(eta_eff=0.0, ratio=1.0, h=0.0, dual_grad_norm=0.0)
+    names = [spec.name for spec, _ in task_layers(cfg.task_section)]
     for seed, losses in losses_by_seed.items():
-        records = [
-            RunRecord(step=t, loss=loss, layers={
-                "a": LayerStats(eta_eff=0.0, ratio=1.0, h=0.0, dual_grad_norm=0.0)})
-            for t, loss in enumerate(losses)
-        ]
+        records = [RunRecord(step=t, loss=loss, layers=dict.fromkeys(names, stats))
+                   for t, loss in enumerate(losses)]
         emit_metrics(records, os.path.join(path, f"seed_{seed}.csv"))
 
 

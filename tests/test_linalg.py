@@ -1,11 +1,10 @@
 import math
+import threading
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from lanton.linalg import (
     SvdConvergenceError,
@@ -15,6 +14,8 @@ from lanton.linalg import (
     singular_values,
 )
 from lanton.norms import Group, dual_norm, nuclear_norm, primal_norm
+
+from strategies import matrices
 
 
 @pytest.mark.parametrize("mat,expected", [
@@ -125,34 +126,11 @@ def test_norm_sandwich_invariant():
         assert fro <= math.sqrt(min(shape)) * spec + 1e-9 * (1.0 + fro)
 
 
-# Row, column and square matrices up to 64x64, in the dtypes and layouts a
-# caller may pass: float64, float32 and int64, row-major, column-major, or a
-# transposed view.
-_N = st.integers(1, 64)
-_SHAPE = st.one_of(_N.map(lambda n: (1, n)), _N.map(lambda n: (n, 1)), _N.map(lambda n: (n, n)))
-_ELEMENTS = {
-    np.float64: st.floats(-1e6, 1e6, allow_subnormal=False),
-    np.float32: st.floats(-1e3, 1e3, allow_subnormal=False, width=32),
-    np.int64: st.integers(-1000, 1000),
-}
-
-
-@st.composite
-def _matrices(draw):
-    shape = draw(_SHAPE)
-    dtype = draw(st.sampled_from(list(_ELEMENTS)))
-    layout = draw(st.sampled_from(["C", "F", "T"]))
-    if layout == "T":
-        return draw(hnp.arrays(dtype, shape[::-1], elements=_ELEMENTS[dtype])).T
-    x = draw(hnp.arrays(dtype, shape, elements=_ELEMENTS[dtype]))
-    return np.asfortranarray(x) if layout == "F" else x
-
-
 def _hex(values):
     return [float(v).hex() for v in values]
 
 
-@given(_matrices())
+@given(matrices())
 def test_singular_values_have_the_bits_of_numpys_svd(x):
     # numpy's own wrapper on the row-major float64 copy is the reference.
     ref = np.linalg.svd(as_matrix(x), compute_uv=False)
@@ -196,3 +174,42 @@ def test_singular_values_keep_the_callers_error_state():
             singular_values(np.full((2, 2), np.nan))
         assert (np.geterr(), np.geterrcall()) == before
         assert np.geterr()["over"] == "ignore"
+
+
+def test_singular_values_keep_each_threads_error_state():
+    # Two threads under different caller error states call the kernel in
+    # turn; each must find its own state after every call.
+    def handler_a(err, flag):
+        raise AssertionError("handler a ran")
+
+    def handler_b(err, flag):
+        raise AssertionError("handler b ran")
+
+    turns = threading.Barrier(2, timeout=30)
+    seen = {}
+
+    def worker(name, state, handler):
+        with np.errstate(call=handler, **state):
+            expected = (np.geterr(), np.geterrcall())
+            states = []
+            for i in range(50):
+                turns.wait()
+                singular_values(np.eye(4) * (i + 1))
+                if i % 10 == 0:
+                    try:
+                        singular_values(np.full((3, 3), np.nan))
+                    except np.linalg.LinAlgError:
+                        pass
+                states.append((np.geterr(), np.geterrcall()))
+            seen[name] = (expected, states)
+
+    threads = [threading.Thread(target=worker, args=("a", {"all": "ignore", "over": "raise"}, handler_a)),
+               threading.Thread(target=worker, args=("b", {"all": "warn", "invalid": "call"}, handler_b))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    assert seen["a"][0] != seen["b"][0]
+    for expected, states in seen.values():
+        assert states == [expected] * 50

@@ -1,9 +1,13 @@
+import importlib.util
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from lanton.linalg import jacobi_svd
+from lanton.linalg import as_matrix, frobenius_norm, jacobi_svd
 from lanton.lmo import (
     NS_SIGMA_ENVELOPE,
     NS_SPECTRAL_ENVELOPE,
@@ -13,6 +17,8 @@ from lanton.lmo import (
     polar_exact,
 )
 from lanton.norms import Group, primal_norm, rms_norm
+
+from strategies import ROW_COLUMN_SQUARE, SIZES, matrices
 
 
 def _quintic_scalar(x0: float, steps: int) -> float:
@@ -74,6 +80,62 @@ class TestNewtonSchulz:
         rng = np.random.default_rng(16)
         a = rng.standard_normal((7, 5))
         assert np.array_equal(newton_schulz(a), newton_schulz(a))
+
+
+def _reference_newton_schulz(a, steps):
+    # The iteration as first written, one new array per operation: the
+    # bits newton_schulz must keep.
+    a = as_matrix(a)
+    scale = float(np.abs(a).max())
+    ca, cb, cc = QUINTIC_COEFFS
+    x = a / scale
+    x = x / (frobenius_norm(x) + 1e-12)
+    transposed = x.shape[0] > x.shape[1]
+    if transposed:
+        x = x.T
+    for _ in range(steps):
+        g = x @ x.T
+        gx = g @ x
+        x = ca * x + cb * gx + cc * (g @ gx)
+    if transposed:
+        x = x.T
+    return x
+
+
+# Every shape from 1x1 to 64x64: row, column, square, tall and wide.
+_SHAPES = st.one_of(ROW_COLUMN_SQUARE, st.tuples(SIZES, SIZES))
+
+
+@given(matrices(_SHAPES), st.integers(1, 6))
+def test_newton_schulz_keeps_the_bits_of_the_reference(a, steps):
+    assume(np.count_nonzero(a))
+    ref = _reference_newton_schulz(a, steps)
+    out = newton_schulz(a, steps=steps)
+    assert out.shape == ref.shape == a.shape
+    assert out.tobytes() == ref.tobytes()
+
+
+# From k = min(m, n) = 16 BLAS may sum a product in another order for
+# another memory layout of the iterate, so these shapes pin the layouts.
+@pytest.mark.parametrize("shape", [(17, 16), (16, 17), (37, 32), (64, 20), (20, 64), (64, 64), (64, 1)])
+@pytest.mark.parametrize("steps", [1, 2, 5])
+def test_newton_schulz_keeps_the_reference_bits_at_blocked_sizes(shape, steps):
+    a = np.random.default_rng(23).standard_normal(shape)
+    a[::3, ::2] = -0.0
+    assert newton_schulz(a, steps=steps).tobytes() == _reference_newton_schulz(a, steps).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (8, 8), (5, 9), (20, 17)])
+def test_newton_schulz_result_is_its_own(shape):
+    a = np.random.default_rng(22).standard_normal(shape)
+    kept = a.copy()
+    first = newton_schulz(a)
+    snapshot = first.copy()
+    assert not np.shares_memory(first, a)
+    second = newton_schulz(a)
+    assert np.array_equal(a, kept)
+    assert not np.shares_memory(first, second)
+    assert first.tobytes() == snapshot.tobytes() == second.tobytes()
 
 
 class TestPolarExact:
@@ -163,3 +225,25 @@ def test_vector_lmo_unit_rms():
     rng = np.random.default_rng(21)
     w = rng.standard_normal(9)
     assert rms_norm(lmo(Group.VECTOR_NORM, w)) == pytest.approx(1.0, rel=1e-12)
+
+
+def _envelope_script():
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts", "pin_ns_envelope.py")
+    spec = importlib.util.spec_from_file_location("pin_ns_envelope", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("nudge,code", [(0.0, 0), (1e-5, 1)])
+def test_envelope_check_compares_the_printed_constants(monkeypatch, capsys, nudge, code):
+    # The sweep itself takes seconds; here it returns the pinned values, or
+    # one of them moved in its sixth digit.
+    script = _envelope_script()
+    (s_lo, s_hi), (p_lo, p_hi) = NS_SIGMA_ENVELOPE, NS_SPECTRAL_ENVELOPE
+    env = {"sigma_low": s_lo * (1.0 + nudge), "sigma_high": s_hi,
+           "spectral_low": p_lo, "spectral_high": p_hi}
+    monkeypatch.setattr(script, "measure_ns_envelope", lambda: env)
+    assert script.main(["--check"]) == code
+    assert script.main([]) == 0
+    assert ("differs from the pinned constants" in capsys.readouterr().err) == bool(code)
