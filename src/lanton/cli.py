@@ -134,12 +134,14 @@ def _cmd_diagnose(args) -> int:
     per_seed = []
     for seed in cfg.seeds:
         records = read_metrics(os.path.join(args.dir, f"seed_{seed}.csv"), names, cfg.total_steps)
+        # A seed that aborted at step 0 wrote no rows: it gets null reports.
         entry = {"seed": seed, "alpha_ratio": None}
-        if cfg.telemetry.ratio:
+        if cfg.telemetry.ratio and records:
             entry["alpha_ratio"] = alpha_ratio_envelope(records, params, opt.alpha, layer_groups=layer_groups)
         if interval_ok:
-            entry["h_bounds"] = h_bounds_check(records, params)
-            entry["noise_range"] = noise_range_estimate(records, opt.beta2, layer_groups=layer_groups)
+            entry["h_bounds"] = h_bounds_check(records, params) if records else None
+            entry["noise_range"] = (noise_range_estimate(records, opt.beta2, layer_groups=layer_groups)
+                                    if records else None)
         per_seed.append(entry)
     report = {
         "run": args.dir,

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -116,20 +116,27 @@ def _missing_h(records, names) -> None:
                 raise ValueError(f"layer {name}: missing tracker telemetry at step {rec.step}")
 
 
-def _h_columns(records, names) -> list[list[float]]:
-    """Each layer's tracker values over the stream. A stream with a NaN or a
-    gap is walked record by record instead, to raise where ``_missing_h``
-    meets the first one."""
+def _h_rows(records, names, walk) -> np.ndarray:
+    """The tracker values as a (layers x steps) float64 array, one
+    contiguous row per layer in ``names`` order, built in one pass over the
+    records. A record that lacks a layer, or a NaN anywhere, calls ``walk``,
+    which walks the records to raise at the first one in the caller's order."""
+    if len(names) == 1:
+        # itemgetter of one name returns the item, not a 1-tuple.
+        pick = lambda layers, name=names[0]: (layers[name],)
+    elif names:
+        pick = itemgetter(*names)
+    else:
+        pick = lambda layers: ()
     try:
-        columns = [[rec.layers[name].h for rec in records] for name in names]
+        flat = [stats.h for rec in records for stats in pick(rec.layers)]
     except KeyError:
-        _missing_h(records, names)
+        walk()
         raise
-    # A column's sum is NaN if one of its values is (or if it holds +inf
-    # and -inf, which _missing_h lets through).
-    if any(math.isnan(sum(column)) for column in columns):
-        _missing_h(records, names)
-    return columns
+    rows = np.fromiter(flat, np.float64, len(flat)).reshape(len(records), len(names)).T.copy()
+    if np.isnan(rows).any():
+        walk()
+    return rows
 
 
 def h_bounds_check(records, params: BoundParams) -> dict:
@@ -138,45 +145,49 @@ def h_bounds_check(records, params: BoundParams) -> dict:
     Expects records from a twin-gradient run with tracker interval 1, so the
     number of tracker updates behind a record at step t (0-based) is t + 1.
     Returns a report keyed by fixed field names; any upper-bound violation is
-    a hard failure of the deterministic envelope.
+    a hard failure of the deterministic envelope. A NaN or a missing layer
+    raises at the first one met layer by layer, each layer in step order.
     """
     if not records:
         raise ValueError("empty record stream")
     names = list(records[0].layers)
+    radii = params.profile.radii
     for name in names:
-        if name not in params.profile.radii:
+        if name not in radii:
             raise ValueError(f"layer {name}: missing noise radii in profile")
     beta2 = params.beta2
     c2 = params.c2
     t0 = tracker_burn_in(beta2)
     total = len(records)
     # The records past the burn-in and their fill 1 - beta2^(t+1), shared
-    # by every layer.
+    # by every layer. The fills are Python powers: numpy's may round apart.
     checked = [rec.step + 1 >= t0 for rec in records]
-    fills = [1.0 - beta2 ** (rec.step + 1) for rec, c in zip(records, checked) if c]
+    fills = np.array([1.0 - beta2 ** (rec.step + 1) for rec, c in zip(records, checked) if c],
+                     dtype=np.float64)
     n_checked = len(fills)
-    up_slack = 1.0 + _FP_SLACK
-    lo_slack = 1.0 - _FP_SLACK
+
+    def walk():
+        for name in names:
+            _missing_h(records, [name])
+
+    hs = _h_rows(records, names, walk)
+    hs = hs[:, np.array(checked, dtype=bool)]
+    upper_k = np.array([4.0 * radii[name][1] * radii[name][1] for name in names])[:, None]
+    lower_k = np.array([radii[name][0] * radii[name][0] for name in names])[:, None]
+    # Each bound in the order of its scalar form, one (layers x steps) array.
+    with np.errstate(all="ignore"):
+        upper_viol = np.count_nonzero(hs > upper_k * fills * (1.0 + _FP_SLACK) + 1e-15, axis=1)
+        lower_viol = np.count_nonzero(hs < lower_k * fills / c2 * (1.0 - _FP_SLACK) - 1e-15, axis=1)
     report_layers = []
-    for name in names:
-        lo, hi = params.profile.radii[name]
-        hs = _h_columns(records, [name])[0]
-        upper_k = 4.0 * hi * hi
-        lower_k = lo * lo
-        upper_viol = 0
-        lower_viol = 0
-        for h, fill in zip(compress(hs, checked), fills):
-            if h > upper_k * fill * up_slack + 1e-15:
-                upper_viol += 1
-            if h < lower_k * fill / c2 * lo_slack - 1e-15:
-                lower_viol += 1
+    for name, up, low in zip(names, upper_viol.tolist(), lower_viol.tolist()):
+        lo, hi = radii[name]
         report_layers.append({
             "layer": name,
             "sigma_lo": lo,
             "sigma_hi": hi,
             "steps_checked": n_checked,
-            "upper_violations": upper_viol,
-            "lower_violation_rate": (lower_viol / n_checked) if n_checked else 0.0,
+            "upper_violations": up,
+            "lower_violation_rate": (low / n_checked) if n_checked else 0.0,
             "beta2_theory_floor": beta2_theory_floor(lo, hi, c2, total, params.delta),
         })
     return {"t0": t0, "beta2": beta2, "delta": params.delta, "layers": report_layers}
@@ -203,33 +214,38 @@ def alpha_ratio_envelope(records, params: BoundParams, alpha: float,
                          layer_groups: dict[str, str] | None = None) -> dict:
     """Observed rate-ratio range against the computed lower envelope.
 
-    Asserts ratio <= 1 on every record (hard failure otherwise) and reports
-    the per-step min/max ratio plus the fraction of steps whose minimum falls
-    below alpha_r.
+    Asserts ratio <= 1 on every record (hard failure otherwise, at the first
+    NaN or ratio past 1 in step order) and reports the per-step min/max
+    ratio plus the fraction of steps whose minimum falls below alpha_r.
     """
     if not records:
         raise ValueError("empty record stream")
     alpha_r = compute_alpha_r(alpha, params)
-    min_ratio = math.inf
-    max_ratio = -math.inf
-    below = 0
-    for rec in records:
-        ratios = [stats.ratio for stats in rec.layers.values()]
-        step_min = min(ratios, default=math.inf)
-        step_max = max(ratios, default=-math.inf)
-        # min and max may skip a NaN, the sum does not. Only a step with a
-        # NaN or a ratio past 1 is walked row by row, to name the layer.
-        if step_max > 1.0 or math.isnan(sum(ratios)):
-            for name, stats in rec.layers.items():
-                r = stats.ratio
-                if math.isnan(r):
-                    raise ValueError(f"layer {name}: missing ratio telemetry at step {rec.step}")
-                if r > 1.0:
-                    raise ValueError(f"layer {name}: ratio {r} > 1 at step {rec.step}")
-        min_ratio = min(min_ratio, step_min)
-        max_ratio = max(max_ratio, step_max)
-        if step_min < alpha_r:
-            below += 1
+    # Every ratio in record order, and how many each record lists: records
+    # may list different layers.
+    values = [stats.ratio for rec in records for stats in rec.layers.values()]
+    ratios = np.fromiter(values, np.float64, len(values))
+    counts = np.fromiter(map(len, map(attrgetter("layers"), records)), np.intp, len(records))
+    with np.errstate(all="ignore"):
+        # Not <= 1 is a NaN or a ratio past 1; walk the rows to name it.
+        if not (ratios <= 1.0).all():
+            for rec in records:
+                for name, stats in rec.layers.items():
+                    r = stats.ratio
+                    if math.isnan(r):
+                        raise ValueError(f"layer {name}: missing ratio telemetry at step {rec.step}")
+                    if r > 1.0:
+                        raise ValueError(f"layer {name}: ratio {r} > 1 at step {rec.step}")
+        below = 0
+        min_ratio, max_ratio = math.inf, -math.inf
+        if ratios.size:
+            # The first of equal extremes, as the builtins keep it: 0.0 and
+            # -0.0 are equal but print apart.
+            min_ratio = float(ratios[ratios.argmin()])
+            max_ratio = float(ratios[ratios.argmax()])
+            # A record without layers has minimum inf, never below alpha_r.
+            starts = (np.cumsum(counts) - counts)[counts > 0]
+            below = int(np.count_nonzero(np.minimum.reduceat(ratios, starts) < alpha_r))
     return {
         "alpha_r": alpha_r,
         "min_ratio": min_ratio,
@@ -246,39 +262,35 @@ def noise_range_estimate(records, beta2: float,
 
     The emitted telemetry carries the tracker value H, not the raw deltas, so
     the deltas are reconstructed from consecutive H values through the update
-    recursion (valid for interval-1 runs): d_t = sqrt((H_t - beta2*H_{t-1}) /
-    (1 - beta2)). Reports min/mean/max per layer over the whole run, whose
-    steps [0, last step + 1) the report names as its window, plus
-    group-aggregated means.
+    recursion (valid for interval-1 runs): d_t = sqrt(max(0, H_t -
+    beta2*H_{t-1}) / (1 - beta2)), with H_{-1} = 0. Reports min/mean/max
+    per layer over the whole run, whose steps [0, last step + 1) the report
+    names as its window, plus group-aggregated means. A NaN or a missing
+    layer raises at the first one met step by step. ``beta2`` must be
+    below 1.
     """
     if not records:
         raise ValueError("empty record stream")
     if records[0].step < 0:
         raise ValueError(f"step {records[0].step} < 0: the tracker recursion starts at step 0")
+    if not beta2 < 1.0:
+        raise ValueError(f"beta2 {beta2} is not below 1")
     names = list(records[0].layers)
-    keep = 1.0 - beta2
-    deltas: dict[str, list[float]] = {}
-    sqrt = math.sqrt
-    for name, hs in zip(names, _h_columns(records, names)):
-        column = []
-        prev = 0.0
-        for h in hs:
-            column.append(sqrt(max(0.0, h - beta2 * prev) / keep))
-            prev = h
-        deltas[name] = column
-    per_layer = []
-    for name in names:
-        vals = np.asarray(deltas[name])
-        per_layer.append({
-            "layer": name,
-            "min": float(vals.min()),
-            "mean": float(vals.mean()),
-            "max": float(vals.max()),
-        })
+    hs = _h_rows(records, names, lambda: _missing_h(records, names))
+    prev = np.zeros_like(hs)
+    prev[:, 1:] = hs[:, :-1]
+    with np.errstate(all="ignore"):
+        diff = hs - beta2 * prev
+        # Python's max(0.0, x), which maps NaN (inf - inf) to 0.0 where
+        # np.maximum would keep it.
+        deltas = np.sqrt(np.where(diff > 0.0, diff, 0.0) / (1.0 - beta2))
+    per_layer = [{"layer": name, "min": float(row.min()), "mean": float(row.mean()),
+                  "max": float(row.max())} for name, row in zip(names, deltas)]
     groups = None
     if layer_groups:
-        acc: dict[str, list[float]] = {}
-        for name in names:
-            acc.setdefault(layer_groups[name], []).extend(deltas[name])
-        groups = {g: float(np.mean(v)) for g, v in sorted(acc.items())}
+        acc: dict[str, list[np.ndarray]] = {}
+        for name, row in zip(names, deltas):
+            acc.setdefault(layer_groups[name], []).append(row)
+        # The mean over each group's layer-major concatenation.
+        groups = {g: float(np.concatenate(rows).mean()) for g, rows in sorted(acc.items())}
     return {"window": [0, records[-1].step + 1], "layers": per_layer, "group_means": groups}

@@ -528,7 +528,10 @@ def read_metrics(path, layers=None, max_steps=None) -> list[RunRecord]:
             elif name in stats:
                 problem = f"step {step}: layer {name!r} listed twice"
                 break
-            stats[name] = LayerStats(float(eta_eff), float(ratio), float(h), float(dual_grad_norm))
+            # tuple.__new__ skips the named tuple's own __new__ frame: the
+            # same object, built once per row.
+            stats[name] = tuple.__new__(LayerStats, (float(eta_eff), float(ratio), float(h),
+                                                     float(dual_grad_norm)))
     except ValueError:
         problem = _unreadable_row(line)
         if problem is None:
@@ -656,7 +659,9 @@ def compare_runs(paths, threshold: float, smoothing: str = "trailing") -> dict:
 
     All runs must share the same task signature. The pairwise speedup of a
     candidate over a baseline is median steps(baseline) / median steps(candidate),
-    so comparing a run with itself yields exactly 1.0.
+    so comparing a run with itself yields exactly 1.0. A seed without rows
+    (aborted at step 0) never crosses and is left out of the final-loss
+    quantiles, which are null when no seed of a run has a row.
     """
     if len(paths) < 2:
         raise ValueError("need at least two run directories")
@@ -670,14 +675,15 @@ def compare_runs(paths, threshold: float, smoothing: str = "trailing") -> dict:
             raise ValueError(f"{path}: task signature does not match {paths[0]}")
         steps = []
         finals = []
-        for seed, losses in losses_by_seed.items():
-            if not losses:
-                raise ValueError(f"{os.path.join(path, f'seed_{seed}.csv')}: no steps recorded")
+        for losses in losses_by_seed.values():
             s = steps_to_threshold(losses, threshold, smoothing=smoothing)
             steps.append(math.inf if s is None else s)
-            finals.append(losses[-1])
+            if losses:
+                finals.append(losses[-1])
         med = statistics.median(steps)
-        q25, q50, q75 = (float(q) for q in np.quantile(np.asarray(finals), [0.25, 0.5, 0.75]))
+        q25 = q50 = q75 = None
+        if finals:
+            q25, q50, q75 = (float(q) for q in np.quantile(np.asarray(finals), [0.25, 0.5, 0.75]))
         runs.append({
             "path": path,
             "optimizer": cfg.optimizer_kind,

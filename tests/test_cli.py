@@ -1,10 +1,12 @@
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
 
+import diagnostics_reference
 import lanton.cli
 import lanton.harness
 import lanton.tasks
@@ -130,15 +132,61 @@ def test_bad_seeds_rejected_before_any_file(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
-def test_compare_header_only_csv(tmp_path, capsys):
-    for name in ("a", "b"):
-        assert main(["run", _write_config(tmp_path, output_path=str(tmp_path / name))]) == 0
+def test_readers_take_a_seed_without_rows(tmp_path, capsys):
+    # A seed that aborts at step 0 leaves a CSV with only the header. The
+    # readers give it null reports; the other seed's entries keep their bytes.
+    dirs = [str(tmp_path / name) for name in ("a", "b")]
+    for d in dirs:
+        assert main(["run", _write_config(tmp_path, output_path=d, seeds=[0, 1])]) == 0
+    compare = ["compare", *dirs, "--threshold", "0.5"]
+    capsys.readouterr()
+    before = []
+    for argv in (["diagnose", dirs[0]], compare):
+        assert main(argv) == 0
+        before.append(json.loads(capsys.readouterr().out))
     csv = tmp_path / "a" / "seed_0.csv"
     csv.write_text(csv.read_text().splitlines()[0] + "\n")
+    after = []
+    for argv in (["diagnose", dirs[0]], compare):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        after.append(json.loads(captured.out))
+    diagnosed = after[0]["per_seed"]
+    assert diagnosed[0] == {"seed": 0, "alpha_ratio": None, "h_bounds": None, "noise_range": None}
+    assert json.dumps(diagnosed[1], sort_keys=True, indent=2) == \
+        json.dumps(before[0]["per_seed"][1], sort_keys=True, indent=2)
+    run_a = after[1]["runs"][0]
+    assert run_a["per_seed_steps_to_threshold"] == [None, before[1]["runs"][0]["per_seed_steps_to_threshold"][1]]
+    final = lanton.harness.read_metrics(str(tmp_path / "a" / "seed_1.csv"))[-1].loss
+    assert run_a["final_loss_quantiles"] == {"q25": final, "q50": final, "q75": final}
+    assert after[1]["runs"][1] == before[1]["runs"][1]
+
+
+def test_diagnose_two_inf_h_values_as_the_record_walk(tmp_path, capsys, monkeypatch):
+    # inf - beta2 * inf is NaN, which the reconstruction maps to a zero delta
+    # as Python's max(0.0, x) does, without a warning on stderr.
+    run = str(tmp_path / "run")
+    assert main(["run", _write_config(tmp_path, output_path=run)]) == 0
+    csv = os.path.join(run, "seed_0.csv")
+    with open(csv) as f:
+        rows = [line.split(",") for line in f.read().splitlines()]
+    layer = rows[1][2]
+    for row in rows:
+        if row[0] in ("5", "6") and row[2] == layer:
+            row[5] = "inf"
+    with open(csv, "w") as f:
+        f.write("\n".join(",".join(row) for row in rows) + "\n")
     capsys.readouterr()
-    assert main(["compare", str(tmp_path / "a"), str(tmp_path / "b"), "--threshold", "0.5"]) == 1
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ValueError" and str(csv) in err["message"]
+    assert main(["diagnose", run]) == 0
+    got = capsys.readouterr()
+    assert got.err == ""
+    delta = json.loads(got.out)["per_seed"][0]["noise_range"]["layers"][0]
+    assert (delta["layer"], delta["min"], delta["mean"], delta["max"]) == (layer, 0.0, math.inf, math.inf)
+    for name in ("alpha_ratio_envelope", "h_bounds_check", "noise_range_estimate"):
+        monkeypatch.setattr(lanton.cli, name, getattr(diagnostics_reference, name))
+    assert main(["diagnose", run]) == 0
+    assert capsys.readouterr().out == got.out
 
 
 def test_bad_seed_override(tmp_path, capsys):

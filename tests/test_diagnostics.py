@@ -3,7 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import diagnostics_reference
+from lanton import diagnostics
 from lanton.diagnostics import (
     BoundParams,
     alpha_ratio_envelope,
@@ -326,3 +330,79 @@ def test_first_bad_row_named(check, bad, error, message):
     with pytest.raises(error) as info:
         run(_stream_with(bad))
     assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# The three diagnostics against their record-walk reference
+
+
+_INF = math.inf
+_H = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1e-12, _INF]), st.floats(0.0, 50.0))
+_RATIO = st.one_of(st.floats(0.0, 1.0, exclude_min=True), st.sampled_from([1.0, 0.0, -0.0]))
+_ODD = st.sampled_from(["nan_h", "nan_ratio", "ratio_above_one", "drop", "extra", "reorder"])
+
+
+@st.composite
+def _streams(draw):
+    """A record stream as a run writes it, bent now and then: NaN values,
+    ratios past 1, runs of inf in H and steps that list other layers."""
+    names = draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4, unique=True))
+    n_steps = draw(st.integers(1, 60))
+    first = draw(st.sampled_from([0, 0, 0, 4]))
+    bent = draw(st.sampled_from([0, 0, 3, 15]))  # percent of steps bent
+    columns = {name: [draw(_H) for _ in range(n_steps)] for name in names}
+    for name in names:
+        if draw(st.booleans()):  # a run of inf, which inf - beta2 * inf turns into NaN
+            start = draw(st.integers(0, n_steps - 1))
+            for t in range(start, min(start + draw(st.integers(1, 4)), n_steps)):
+                columns[name][t] = _INF
+    records = []
+    for t in range(n_steps):
+        ratios = [draw(_RATIO) for _ in names]
+        ratios[draw(st.integers(0, len(names) - 1))] = 1.0
+        rows = {name: [1e-3, ratio, columns[name][t], 0.5] for name, ratio in zip(names, ratios)}
+        odd = draw(_ODD) if draw(st.integers(0, 99)) < bent else None
+        pick = draw(st.sampled_from(names))
+        if odd == "nan_h":
+            rows[pick][2] = math.nan
+        elif odd == "nan_ratio":
+            rows[pick][1] = math.nan
+        elif odd == "ratio_above_one":
+            rows[pick][1] = draw(st.sampled_from([1.5, 1.0000000000000002, _INF]))
+        elif odd == "drop" and len(names) > 1:
+            del rows[pick]
+        elif odd == "extra":
+            rows["z"] = [1e-3, draw(_RATIO), draw(_H), 0.5]
+        elif odd == "reorder":
+            rows = dict(reversed(list(rows.items())))
+        records.append(RunRecord(step=first + t, loss=1.0,
+                                 layers={k: LayerStats(*v) for k, v in rows.items()}))
+    return names, records
+
+
+def _outcome(call):
+    """The report's bytes, or the type and message of what the call raised."""
+    try:
+        return json.dumps(call(), sort_keys=True)
+    except Exception as exc:  # the exception is the outcome
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=150)
+@given(_streams(), st.data())
+def test_diagnostics_match_the_record_walk(stream, data):
+    names, records = stream
+    radii = {name: tuple(sorted(data.draw(st.lists(st.floats(0.0, 3.0), min_size=2, max_size=2))))
+             for name in names}
+    params = BoundParams(c1=0.1, c2=data.draw(st.sampled_from([1.0, 2.0, 9.0])),
+                         delta=0.05, beta2=data.draw(st.sampled_from([0.0, 0.5, 0.9, 0.999])),
+                         profile=NoiseProfile(radii))
+    alpha = data.draw(st.sampled_from([0.05, 1.0, 1e3]))
+    groups = data.draw(st.one_of(st.none(), st.fixed_dictionaries(
+        {name: st.sampled_from(["hidden", "vector_norm"]) for name in names})))
+    for check in (
+        lambda m: m.h_bounds_check(records, params),
+        lambda m: m.alpha_ratio_envelope(records, params, alpha, layer_groups=groups),
+        lambda m: m.noise_range_estimate(records, params.beta2, layer_groups=groups),
+    ):
+        assert _outcome(lambda: check(diagnostics)) == _outcome(lambda: check(diagnostics_reference))

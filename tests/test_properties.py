@@ -16,7 +16,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -191,12 +191,8 @@ def test_mutations_raise_only_config_error(data):
         assert exc.field
 
 
-@pytest.fixture(scope="module")
-def run_dirs(tmp_path_factory):
-    root = tmp_path_factory.mktemp("runs")
-    raw = {"task": {"kind": "quadratic", "preset": "transformer", "shape": [2, 3]},
-           "optimizer": {"kind": "lanton", "noise_option": "II", "noise_update_interval": 1},
-           "seeds": [0], "total_steps": 4}
+def _two_run_dirs(root, raw) -> list[str]:
+    """Run ``raw`` twice, into ``root``/a and ``root``/b."""
     dirs = []
     for name in ("a", "b"):
         path = root / name
@@ -207,11 +203,19 @@ def run_dirs(tmp_path_factory):
     return dirs
 
 
+@pytest.fixture(scope="module")
+def run_dirs(tmp_path_factory):
+    return _two_run_dirs(tmp_path_factory.mktemp("runs"), {
+        "task": {"kind": "quadratic", "preset": "transformer", "shape": [2, 3]},
+        "optimizer": {"kind": "lanton", "noise_option": "II", "noise_update_interval": 1},
+        "seeds": [0], "total_steps": 4})
+
+
 def _cli(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         rc = main(argv)
-    return rc, err.getvalue()
+    return rc, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=40)
@@ -232,7 +236,7 @@ def test_mutated_run_config_gives_json_error(run_dirs, data):
         with open(config_path, "w", encoding="utf-8") as f:
             f.write(text)
         for argv in (["diagnose", a], ["compare", a, b, "--threshold", "0.5"]):
-            rc, err = _cli(argv)
+            rc, _, err = _cli(argv)
             assert rc in (0, 1)
             if rc == 1:
                 payload = json.loads(err)
@@ -245,21 +249,113 @@ def test_mutated_run_config_gives_json_error(run_dirs, data):
             f.write(original)
 
 
+# Every seed aborts at step 0 on an overflowing loss and writes only the CSV
+# header.
+_ABORTS_AT_STEP_0 = {
+    "task": {"kind": "quadratic", "preset": "heterogeneous", "shape": [3, 3], "smoothness": 1e308},
+    "optimizer": {"kind": "lanton", "noise_option": "II", "noise_update_interval": 1},
+    "seeds": [0, 1], "total_steps": 5,
+}
+
+
 @given(configs())
+@example(_ABORTS_AT_STEP_0)
 def test_every_config_gives_a_run_dir_its_readers_take(tmp_path_factory, raw):
-    # Whatever telemetry a config switches off, diagnose and compare read
-    # the run directory it gives.
+    # Whatever telemetry a config switches off, and however early its seeds
+    # stop, diagnose and compare read the run directory it gives.
     root = tmp_path_factory.mktemp("run")
     dirs = []
     for name in ("a", "b"):
         dirs.append(str(root / name))
         config = root / f"{name}.json"
         config.write_text(json.dumps(dict(raw, total_steps=50, output_path=dirs[-1])))
-        rc, err = _cli(["run", str(config)])
+        rc, _, err = _cli(["run", str(config)])
         assert rc == 0, err
     for argv in (["diagnose", dirs[0]], ["compare", *dirs, "--threshold", "0.5"]):
-        rc, err = _cli(argv)
+        rc, _, err = _cli(argv)
         assert rc == 0, err
+
+
+_STEPS = 6
+_CORRUPT_LAYERS = ["layer0", "layer1", "layer2"]
+
+
+@pytest.fixture(scope="module")
+def option_two_run_dirs(tmp_path_factory):
+    return _two_run_dirs(tmp_path_factory.mktemp("corrupt"), {
+        "task": {"kind": "quadratic", "preset": "heterogeneous", "shape": [2, 2], "n_layers": 3},
+        "optimizer": {"kind": "lanton", "noise_option": "II", "noise_update_interval": 1},
+        "seeds": [0, 1], "total_steps": _STEPS})
+
+
+def _flip(data: bytes, draw) -> bytes:
+    out = bytearray(data)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(out) - 1))
+        out[i] ^= draw(st.integers(1, 255))
+    return bytes(out)
+
+
+@st.composite
+def _corruptions(draw, csv: bytes, config: bytes):
+    """One corruption of a run directory: which file, its new bytes, and
+    whether the readers must reject it (a layer or step count that does
+    not match config.json)."""
+    kind = draw(st.sampled_from(["drop_layer", "rename_layer", "truncate", "append_steps",
+                                 "field", "flip_csv", "flip_config"]))
+    lines = csv.decode().splitlines()
+    layer = draw(st.sampled_from(_CORRUPT_LAYERS))
+    if kind == "drop_layer":
+        lines = [l for l in lines if f",{layer}," not in l]
+    elif kind == "rename_layer":
+        other = draw(st.sampled_from(["zz", "layer3", layer + " "]))
+        lines = [l.replace(f",{layer},", f",{other},") for l in lines]
+    elif kind == "append_steps":
+        last = [l.split(",", 1)[1] for l in lines if l.startswith(f"{_STEPS - 1},")]
+        lines += [f"{step},{rest}" for step in range(_STEPS, _STEPS + draw(st.integers(1, 3)))
+                  for rest in last]
+    elif kind == "field":
+        row = draw(st.integers(1, len(lines) - 1))
+        fields = lines[row].split(",")
+        fields[draw(st.integers(3, 6))] = draw(st.sampled_from(["inf", "-inf", "-0.0"]))
+        lines[row] = ",".join(fields)
+    text = ("\n".join(lines) + "\n").encode()
+    if kind == "truncate":
+        return "csv", csv[:draw(st.integers(0, len(csv) - 1))], False
+    if kind == "flip_csv":
+        return "csv", _flip(csv, draw), False
+    if kind == "flip_config":
+        return "config", _flip(config, draw), False
+    return "csv", text, kind in ("drop_layer", "rename_layer", "append_steps")
+
+
+@settings(max_examples=120)
+@given(st.data())
+def test_corrupted_run_dir_gives_a_report_or_one_json_error(option_two_run_dirs, data):
+    a, b = option_two_run_dirs
+    paths = {"csv": os.path.join(a, "seed_0.csv"), "config": os.path.join(a, "config.json")}
+    original = {}
+    for key, path in paths.items():
+        with open(path, "rb") as f:
+            original[key] = f.read()
+    target, corrupted, must_fail = data.draw(_corruptions(original["csv"], original["config"]))
+    try:
+        with open(paths[target], "wb") as f:
+            f.write(corrupted)
+        for argv in (["diagnose", a], ["compare", a, b, "--threshold", "0.5"]):
+            rc, out, err = _cli(argv)
+            assert rc in (0, 1)
+            if rc == 1:
+                assert out == ""
+                payload = json.loads(err)
+                assert isinstance(payload, dict) and payload["error"] and payload["message"]
+            else:
+                assert err == ""
+            assert rc == 1 or not must_fail
+    finally:
+        for key, path in paths.items():
+            with open(path, "wb") as f:
+                f.write(original[key])
 
 
 # Any name the CSV can hold: every character but a comma or a CR/LF. The
