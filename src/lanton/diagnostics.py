@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 import numpy as np
 
@@ -121,15 +121,8 @@ def _h_rows(records, names, walk) -> np.ndarray:
     contiguous row per layer in ``names`` order, built in one pass over the
     records. A record that lacks a layer, or a NaN anywhere, calls ``walk``,
     which walks the records to raise at the first one in the caller's order."""
-    if len(names) == 1:
-        # itemgetter of one name returns the item, not a 1-tuple.
-        pick = lambda layers, name=names[0]: (layers[name],)
-    elif names:
-        pick = itemgetter(*names)
-    else:
-        pick = lambda layers: ()
     try:
-        flat = [stats.h for rec in records for stats in pick(rec.layers)]
+        flat = [rec.layers[name].h for rec in records for name in names]
     except KeyError:
         walk()
         raise

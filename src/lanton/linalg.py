@@ -8,7 +8,6 @@ are deterministic: identical inputs give bit-identical outputs.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -136,44 +135,13 @@ def _complete_orthonormal(u: np.ndarray, missing: list[int]) -> None:
         raise SvdConvergenceError("failed to complete an orthonormal basis")
 
 
-@functools.cache
-def _round_robin(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """The Brent-Luk round-robin ordering of a sweep over n columns.
-
-    Columns are padded to an even count N with a zero column (index n when
-    n is odd). Each of the N - 1 rounds pairs every column with one other,
-    and over a sweep every pair meets once. A round's layout lists its pairs
-    in order, ``(p0, q0, p1, q1, ...)``. Returns the first round's layout
-    and, per round, the permutation that takes its layout to the next
-    round's; the last one returns to the first, so sweeps chain. Cached
-    per n, so the arrays are read-only.
-    """
-    size = n + n % 2
-    pos = list(range(size))
-    layouts = []
-    for _ in range(size - 1):
-        layouts.append([c for i in range(size // 2) for c in (pos[i], pos[size - 1 - i])])
-        # Column pos[0] stays; the others move one place round the circle.
-        pos = [pos[0], pos[-1]] + pos[1:-1]
-    moves = []
-    for cur, nxt in zip(layouts, layouts[1:] + layouts[:1]):
-        at = {c: j for j, c in enumerate(cur)}
-        moves.append(np.array([at[c] for c in nxt], dtype=np.intp))
-    first = np.array(layouts[0], dtype=np.intp)
-    for arr in (first, *moves):
-        arr.flags.writeable = False
-    return first, tuple(moves)
-
-
 def jacobi_svd(a) -> SvdResult:
-    """One-sided Jacobi SVD with round-robin (Brent-Luk) sweeps.
+    """One-sided Jacobi SVD with cyclic sweeps.
 
-    Each round of a sweep rotates n/2 disjoint column pairs at once, so a
-    sweep is n - 1 array steps. The working matrix is stored transposed,
-    one column per contiguous row, in the round's pair order. Wide inputs
-    are factorized through their transpose. Ties between equal singular
-    values keep the column order (stable descending sort), so the result
-    is deterministic.
+    The working matrix is stored transposed so each column lives in a
+    contiguous row. Wide inputs are factorized through their transpose.
+    Ties between equal singular values keep the rotation output order
+    (stable descending sort), so the result is deterministic.
     """
     a = as_matrix(a)
     require_finite("jacobi_svd input", a)
@@ -182,81 +150,40 @@ def jacobi_svd(a) -> SvdResult:
         res = jacobi_svd(a.T)
         return SvdResult(u=res.vt.T.copy(), s=res.s, vt=res.u.T.copy())
 
-    layout, moves = _round_robin(n)
-    size = len(layout)
-    pairs = size // 2
-    # wt[i] is a column of the working matrix; vt_rows[i] accumulates the
-    # right singular vector attached to that column. An odd n adds a zero
-    # column, which never rotates: its coupling is exactly 0.
-    wt = np.zeros((size, m))
-    wt[:n] = a.T
-    wt = wt[layout]
-    vt_rows = np.eye(size, n)[layout]
-    rotation = np.empty((pairs, 2, 2))
+    # wt[i] is column i of the working matrix; vt_rows[i] accumulates the
+    # right singular vector attached to that column.
+    wt = np.ascontiguousarray(a.T, dtype=np.float64).copy()
+    vt_rows = np.eye(n)
 
-    # A coupling far below the column norms can overflow tau * tau, which
-    # only makes the rotation the identity.
-    with np.errstate(over="ignore"):
-        for _ in range(_JACOBI_MAX_SWEEPS):
-            rotated = False
-            # Squared column norms, exact at the start of each sweep and
-            # carried through its rotations by the exact-arithmetic update
-            # (app - t apq, aqq + t apq). So the sweep that ends the
-            # iteration, which rotates nothing, tests exact norms.
-            norm2 = np.einsum("ij,ij->i", wt, wt)
-            for move in moves:
-                w3 = wt.reshape(pairs, 2, m)
-                app, aqq = norm2.reshape(pairs, 2).T
-                # Each pair's coupling, as a batch of 1 x m by m x 1 products.
-                apq = (w3[:, :1] @ w3[:, 1:].transpose(0, 2, 1)).reshape(pairs)
-                live = np.abs(apq) > _JACOBI_REL_TOL * np.sqrt(app * aqq)
-                count = np.count_nonzero(live)
-                if count:
-                    rotated = True
-                    # With a quarter of the pairs live or more, every pair
-                    # goes through one product, the others as the identity;
-                    # with fewer, only the live pairs are gathered.
-                    every = 4 * count >= pairs
-                    if every:
-                        apq = np.where(live, apq, 1.0)
-                    else:
-                        idx = np.flatnonzero(live)
-                        apq, app, aqq = apq[idx], app[idx], aqq[idx]
-                    tau = (aqq - app) / (2.0 * apq)
-                    t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-                    if every:
-                        t[~live] = 0.0
-                    c = 1.0 / np.sqrt(1.0 + t * t)
-                    s = t * c
-                    rot = rotation[:len(t)]
-                    rot[:, 0, 0] = rot[:, 1, 1] = c
-                    rot[:, 1, 0] = s
-                    rot[:, 0, 1] = -s
-                    shift = t * apq
-                    moved = np.stack((np.maximum(app - shift, 0.0), aqq + shift), axis=1)
-                    v3 = vt_rows.reshape(pairs, 2, n)
-                    if every:
-                        wt = (rot @ w3).reshape(size, m)
-                        vt_rows = (rot @ v3).reshape(size, n)
-                        norm2 = moved.reshape(size)
-                    else:
-                        w3[idx] = rot @ w3[idx]
-                        v3[idx] = rot @ v3[idx]
-                        norm2.reshape(pairs, 2)[idx] = moved
-                wt = wt[move]
-                vt_rows = vt_rows[move]
-                norm2 = norm2[move]
-            if not rotated:
-                break
-        else:
-            raise SvdConvergenceError(
-                f"one-sided Jacobi did not converge within {_JACOBI_MAX_SWEEPS} sweeps"
-            )
-
-    # Back to column order, without the padding column.
-    back = np.argsort(layout)[:n]
-    wt = wt[back]
-    vt_rows = vt_rows[back]
+    for _ in range(_JACOBI_MAX_SWEEPS):
+        rotated = False
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                wp = wt[p]
+                wq = wt[q]
+                apq = float(wp @ wq)
+                app = float(wp @ wp)
+                aqq = float(wq @ wq)
+                if abs(apq) <= _JACOBI_REL_TOL * math.sqrt(app * aqq):
+                    continue
+                rotated = True
+                tau = (aqq - app) / (2.0 * apq)
+                sign = 1.0 if tau >= 0.0 else -1.0
+                t = sign / (abs(tau) + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                new_p = c * wp - s * wq
+                wt[q] = s * wp + c * wq
+                wt[p] = new_p
+                new_vp = c * vt_rows[p] - s * vt_rows[q]
+                vt_rows[q] = s * vt_rows[p] + c * vt_rows[q]
+                vt_rows[p] = new_vp
+        if not rotated:
+            break
+    else:
+        raise SvdConvergenceError(
+            f"one-sided Jacobi did not converge within {_JACOBI_MAX_SWEEPS} sweeps"
+        )
 
     norms = np.sqrt(np.sum(wt * wt, axis=1))
     order = np.argsort(-norms, kind="stable")

@@ -8,7 +8,6 @@ from hypothesis import given
 
 from lanton.linalg import (
     SvdConvergenceError,
-    _round_robin,
     as_matrix,
     frobenius_norm,
     jacobi_svd,
@@ -214,18 +213,3 @@ def test_singular_values_keep_each_threads_error_state():
     assert seen["a"][0] != seen["b"][0]
     for expected, states in seen.values():
         assert states == [expected] * 50
-
-
-@pytest.mark.parametrize("n", range(1, 10))
-def test_round_robin_meets_every_pair_once_per_sweep(n):
-    layout, moves = _round_robin(n)
-    size = n + n % 2
-    assert sorted(layout.tolist()) == list(range(size))
-    met = []
-    for move in moves:
-        pairs = layout.reshape(-1, 2)
-        assert len(set(pairs.ravel().tolist())) == size  # disjoint within a round
-        met += [tuple(sorted(p)) for p in pairs.tolist() if max(p) < n]
-        layout = layout[move]
-    assert layout.tolist() == _round_robin(n)[0].tolist()  # the next sweep starts over
-    assert sorted(met) == [(p, q) for p in range(n) for q in range(p + 1, n)]
