@@ -367,14 +367,17 @@ def _repeat_first_row_of_step_5(lines):
     return lines[:i + 1] + lines[i:]
 
 
-def _field_of_step_5(row, column, text):
-    """Sets field ``column`` of the ``row``-th row of step 5 to ``text``."""
+def _row_of_step_5(row, edit):
+    """Replaces the fields of the ``row``-th row of step 5 with ``edit(fields)``."""
     def corrupt(lines):
         i = next(i for i, l in enumerate(lines) if l.startswith("5,")) + row
-        parts = lines[i].split(",")
-        parts[column] = text
-        return lines[:i] + [",".join(parts)] + lines[i + 1:]
+        return lines[:i] + [",".join(edit(lines[i].split(",")))] + lines[i + 1:]
     return corrupt
+
+
+def _field_of_step_5(row, column, text):
+    """Sets field ``column`` of the ``row``-th row of step 5 to ``text``."""
+    return _row_of_step_5(row, lambda parts: parts[:column] + [text] + parts[column + 1:])
 
 
 @pytest.mark.parametrize("corrupt,message", [
@@ -386,6 +389,14 @@ def _field_of_step_5(row, column, text):
     pytest.param(_field_of_step_5(0, 1, "banana"), "step 5: loss 'banana' is not a number",
                  id="loss_not_a_number"),
     pytest.param(_field_of_step_5(0, 0, "x"), "step 'x' is not an integer", id="step_not_an_integer"),
+    pytest.param(_row_of_step_5(1, lambda parts: parts[:-1]), "malformed row", id="six_fields"),
+    pytest.param(_row_of_step_5(1, lambda parts: parts + ["0"]), "malformed row", id="eight_fields"),
+    pytest.param(_field_of_step_5(1, 4, "banana"), "step 5: ratio 'banana' is not a number",
+                 id="ratio_not_a_number"),
+    pytest.param(_field_of_step_5(1, 5, "banana"), "step 5: H 'banana' is not a number",
+                 id="h_not_a_number"),
+    pytest.param(_field_of_step_5(1, 6, "banana"), "step 5: dual_grad_norm 'banana' is not a number",
+                 id="dual_grad_norm_not_a_number"),
 ])
 def test_readers_reject_inconsistent_csv(tmp_path, capsys, corrupt, message):
     a, b = _two_runs(tmp_path)
