@@ -29,6 +29,7 @@ from .harness import (
     read_metrics,
     read_run_config,
     run_experiment,
+    seed_csv,
     task_layers,
     _load_document,
     _write_text_atomic,
@@ -130,10 +131,9 @@ def _cmd_diagnose(args) -> int:
     # step. A check whose telemetry column the run switched off is skipped.
     interval_ok = (cfg.optimizer_kind == "lanton" and opt.noise_option == "II"
                    and opt.noise_update_interval == 1 and cfg.telemetry.h)
-    names = [spec.name for spec, _ in layers]
     per_seed = []
     for seed in cfg.seeds:
-        records = read_metrics(os.path.join(args.dir, f"seed_{seed}.csv"), names, cfg.total_steps)
+        records = read_metrics(seed_csv(args.dir, seed), list(layer_groups), cfg.total_steps)
         # A seed that aborted at step 0 wrote no rows: it gets null reports.
         entry = {"seed": seed, "alpha_ratio": None}
         if cfg.telemetry.ratio and records:

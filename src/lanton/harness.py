@@ -70,10 +70,12 @@ __all__ = [
     "compare_runs",
     "read_run_config",
     "load_run_dir",
+    "seed_csv",
     "CSV_HEADER",
 ]
 
-CSV_HEADER = "step,loss,layer,eta_eff,ratio,H,dual_grad_norm"
+CSV_HEADER = ",".join(["step", "loss", "layer"] + [{"h": "H"}.get(f, f) for f in LayerStats._fields])
+_ROW_FORMAT = "%s%s" + ",%.17g" * len(LayerStats._fields)
 
 OPTIMIZER_KINDS = ("lanton",) + BASELINE_KINDS
 
@@ -447,7 +449,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1):
     records_by_seed = {}
     per_seed = []
     for seed, (records, summary) in zip(cfg.seeds, results):
-        emit_metrics(records, os.path.join(outdir, f"seed_{seed}.csv"))
+        emit_metrics(records, seed_csv(outdir, seed))
         records_by_seed[seed] = records
         per_seed.append(summary)
     summary = {
@@ -469,6 +471,11 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1):
 # metrics files
 
 
+def seed_csv(run_dir: str, seed: int) -> str:
+    """The path of one seed's telemetry CSV in a run directory."""
+    return os.path.join(run_dir, f"seed_{seed}.csv")
+
+
 def emit_metrics(records, path) -> None:
     """Write the long-format telemetry CSV (one row per step and layer).
 
@@ -478,9 +485,7 @@ def emit_metrics(records, path) -> None:
     lines = [CSV_HEADER]
     for rec in records:
         prefix = f"{rec.step},{rec.loss:.17g},"
-        for name, st in rec.layers.items():
-            lines.append("%s%s,%.17g,%.17g,%.17g,%.17g" % (
-                prefix, name, st.eta_eff, st.ratio, st.h, st.dual_grad_norm))
+        lines += [_ROW_FORMAT % ((prefix, name) + st) for name, st in rec.layers.items()]
     _write_text_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -551,22 +556,17 @@ def read_metrics(path, layers=None, max_steps=None) -> list[RunRecord]:
 
 
 def _unreadable_row(line: str) -> str | None:
-    """Why ``read_metrics`` cannot take a row: a field count other than
-    seven, or the first numeric field, in column order, that does not parse."""
-    parts = line.split(",")
-    if len(parts) != 7:
+    """Why ``read_metrics`` cannot take a row: a field count other than the
+    header's, or the first numeric field, in column order, that does not parse."""
+    columns, parts = CSV_HEADER.split(","), line.split(",")
+    if len(parts) != len(columns):
         return f"malformed row {line!r}"
-    step = parts[0]
-    try:
-        int(step)
-    except ValueError:
-        return f"step {step!r} is not an integer"
-    for column, text in zip(CSV_HEADER.split(","), parts):
-        if column not in ("step", "layer"):
-            try:
-                float(text)
-            except ValueError:
-                return f"step {step}: {column} {text!r} is not a number"
+    for column, text in zip(columns, parts):
+        try:
+            {"step": int, "layer": str}.get(column, float)(text)
+        except ValueError:
+            return (f"step {text!r} is not an integer" if column == "step"
+                    else f"step {parts[0]}: {column} {text!r} is not a number")
     return None
 
 
@@ -647,11 +647,8 @@ def load_run_dir(path: str):
     """The typed config and the per-seed losses of a run directory."""
     cfg = read_run_config(path)
     names = [spec.name for spec, _ in task_layers(cfg.task_section)]
-    losses_by_seed = {}
-    for seed in cfg.seeds:
-        records = read_metrics(os.path.join(path, f"seed_{seed}.csv"), names, cfg.total_steps)
-        losses_by_seed[seed] = [r.loss for r in records]
-    return cfg, losses_by_seed
+    return cfg, {seed: [r.loss for r in read_metrics(seed_csv(path, seed), names, cfg.total_steps)]
+                 for seed in cfg.seeds}
 
 
 def compare_runs(paths, threshold: float, smoothing: str = "trailing") -> dict:

@@ -236,9 +236,8 @@ def alpha_and_ratio(state: LantonState, cfg: LantonConfig):
 
 
 class LayerStats(NamedTuple):
-    """Telemetry produced for one layer by one step. A named tuple, not a
-    frozen dataclass: every step builds one per layer and every CSV read one
-    per row, and a tuple is built without a setattr per field."""
+    """Telemetry of one layer from one step; its fields, in order, are a seed
+    CSV's telemetry columns. A named tuple, built without a setattr per field."""
 
     eta_eff: float
     ratio: float
@@ -248,10 +247,11 @@ class LayerStats(NamedTuple):
 
 @dataclass(frozen=True)
 class TelemetryFlags:
-    """Which telemetry columns a step records; a column switched off is NaN."""
+    """The switchable ``LayerStats`` columns (``eta_eff`` is always on); one
+    switched off is NaN, and a switched-off dual norm is never computed."""
 
-    h: bool = True
     ratio: bool = True
+    h: bool = True
     dual_grad_norm: bool = True
 
 
@@ -336,6 +336,7 @@ def _step(kind: str, state: LantonState, grads, cfg: LantonConfig, mode: str, tw
         _, ratios = alpha_and_ratio(state, cfg)
 
     oracle = kind in ("lanton", "fixed_rate_lmo")
+    off = {f.name: math.nan for f in fields(telemetry) if not getattr(telemetry, f.name)}
     deltas = {}
     stats = {}
     for spec in state.layers:
@@ -354,8 +355,8 @@ def _step(kind: str, state: LantonState, grads, cfg: LantonConfig, mode: str, tw
             delta = delta - eta_base * cfg.weight_decay * np.asarray(params[spec.name], dtype=np.float64)
         deltas[spec.name] = delta
         dgn = dual_norm(spec.group, g, embedding_dual=cfg.embedding_dual) if telemetry.dual_grad_norm else math.nan
-        stats[spec.name] = LayerStats(eta_eff=eta_eff, ratio=ratio if telemetry.ratio else math.nan,
-                                      h=state.h[spec.name] if telemetry.h else math.nan, dual_grad_norm=dgn)
+        st = LayerStats(eta_eff, ratio, state.h[spec.name], dgn)
+        stats[spec.name] = st._replace(**off) if off else st
 
     state.t += 1
     return deltas, stats

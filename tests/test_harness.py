@@ -264,6 +264,13 @@ class TestMetricsCsv:
             }),
         ]
 
+    def test_columns_follow_layer_stats(self):
+        # The header is derived from LayerStats, and the switches name every
+        # telemetry column but eta_eff, which is always recorded.
+        assert tuple(f.name for f in fields(TelemetryFlags)) == \
+            tuple(f for f in LayerStats._fields if f != "eta_eff")
+        assert CSV_HEADER == "step,loss,layer,eta_eff,ratio,H,dual_grad_norm"
+
     def test_empty_stream_header_only(self, tmp_path):
         path = tmp_path / "m.csv"
         emit_metrics([], path)
