@@ -99,12 +99,15 @@ def beta2_theory_floor(sigma_lo: float, sigma_hi: float, c2: float,
                        total_steps: int, delta: float) -> float | None:
     """Smallest beta2 for which the probabilistic lower envelope is claimed.
 
-    Returns None for noiseless layers where the requirement is vacuous.
+    Returns None for noiseless layers where the requirement is vacuous. The
+    floor 1 - sigma_lo^4 / (32 (2 c2 sigma_hi^2 - sigma_lo^2)^2 log(4T/delta))
+    is taken with sigma_hi^4 cancelled, so radii whose squares leave float
+    range still give it.
     """
     if sigma_lo == 0.0:
         return None
-    denom = 32.0 * (2.0 * c2 * sigma_hi ** 2 - sigma_lo ** 2) ** 2 * math.log(4.0 * total_steps / delta)
-    return 1.0 - sigma_lo ** 4 / denom
+    r2 = (sigma_lo / sigma_hi) ** 2
+    return 1.0 - r2 * r2 / (32.0 * (2.0 * c2 - r2) ** 2 * math.log(4.0 * total_steps / delta))
 
 
 def _missing_h(records, names) -> None:

@@ -189,6 +189,21 @@ def test_diagnose_two_inf_h_values_as_the_record_walk(tmp_path, capsys, monkeypa
     assert capsys.readouterr().out == got.out
 
 
+@pytest.mark.parametrize("sigma", [1e-200, 1e100])
+def test_diagnose_radii_whose_square_leaves_float_range(tmp_path, capsys, sigma):
+    # sigma**2 under- or overflows a float; the beta2 floor depends only on
+    # sigma_lo / sigma_hi, so it stays finite and diagnose reports it.
+    layer = {"name": "w", "shape": [2, 3], "group": "hidden", "sigma_lo": sigma, "sigma_hi": sigma}
+    run = str(tmp_path / "run")
+    assert main(["run", _write_config(tmp_path, total_steps=5, task={"kind": "quadratic", "layers": [layer]})]) == 0
+    capsys.readouterr()
+    assert main(["diagnose", run]) == 0
+    got = capsys.readouterr()
+    assert got.err == ""
+    floor = json.loads(got.out)["per_seed"][0]["h_bounds"]["layers"][0]["beta2_theory_floor"]
+    assert math.isfinite(floor) and 0.0 < floor < 1.0
+
+
 def test_bad_seed_override(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     assert main(["--seed-override", "1,x", "run", cfg]) == 1
