@@ -9,6 +9,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -114,6 +115,17 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+def _finite_or_null(obj):
+    """``obj`` with every non-finite float, which JSON cannot write, as None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def _cmd_diagnose(args) -> int:
     delta = check_number(args.delta, "--delta", lo=0.0, hi=1.0, lo_open=True, hi_open=True)
     cfg = read_run_config(args.dir)
@@ -151,7 +163,9 @@ def _cmd_diagnose(args) -> int:
         "tracker_bounds_applicable": interval_ok,
         "per_seed": per_seed,
     }
-    text = json.dumps(report, sort_keys=True, indent=2)
+    # Telemetry may hold inf or NaN; allow_nan=False turns one missed here
+    # into an error rather than a token that is not JSON.
+    text = json.dumps(_finite_or_null(report), sort_keys=True, indent=2, allow_nan=False)
     _write_text_atomic(os.path.join(args.dir, "diagnostics.json"), text + "\n")
     print(text)
     return 0

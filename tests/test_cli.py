@@ -163,6 +163,10 @@ def test_readers_take_a_seed_without_rows(tmp_path, capsys):
     assert after[1]["runs"][1] == before[1]["runs"][1]
 
 
+def _not_json(token):
+    raise ValueError(f"{token} is not JSON")
+
+
 def test_diagnose_two_inf_h_values_as_the_record_walk(tmp_path, capsys, monkeypatch):
     # inf - beta2 * inf is NaN, which the reconstruction maps to a zero delta
     # as Python's max(0.0, x) does, without a warning on stderr.
@@ -182,7 +186,11 @@ def test_diagnose_two_inf_h_values_as_the_record_walk(tmp_path, capsys, monkeypa
     got = capsys.readouterr()
     assert got.err == ""
     delta = json.loads(got.out)["per_seed"][0]["noise_range"]["layers"][0]
-    assert (delta["layer"], delta["min"], delta["mean"], delta["max"]) == (layer, 0.0, math.inf, math.inf)
+    # JSON has no token for inf: the report writes it as null.
+    assert (delta["layer"], delta["min"], delta["mean"], delta["max"]) == (layer, 0.0, None, None)
+    with open(os.path.join(run, "diagnostics.json")) as f:
+        assert f.read() == got.out
+    json.loads(got.out, parse_constant=_not_json)
     for name in ("alpha_ratio_envelope", "h_bounds_check", "noise_range_estimate"):
         monkeypatch.setattr(lanton.cli, name, getattr(diagnostics_reference, name))
     assert main(["diagnose", run]) == 0
