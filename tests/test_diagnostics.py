@@ -302,6 +302,10 @@ _TWO_BAD_ROWS = [
                  ValueError, "layer a: missing tracker telemetry at step 1", id="h_bounds_nan_before_gap"),
     pytest.param(h_bounds_check, {("b", 1): _NAN_H, ("a", 3): None},
                  KeyError, "'a'", id="h_bounds_gap_in_earlier_layer"),
+    pytest.param(h_bounds_check, {("c", 5): _NAN_H},
+                 ValueError, "layer c: missing tracker telemetry at step 5", id="h_bounds_last_row"),
+    pytest.param(h_bounds_check, {("a", 0): None, ("c", 0): _NAN_H},
+                 ValueError, "layer c: missing tracker telemetry at step 0", id="h_bounds_names_from_step_0"),
     pytest.param(noise_range_estimate, {("b", 1): _NAN_H, ("a", 4): _NAN_H},
                  ValueError, "layer b: missing tracker telemetry at step 1", id="noise_range_step_first"),
     pytest.param(noise_range_estimate, {("c", 2): _NAN_H, ("a", 2): _NAN_H},
@@ -310,12 +314,20 @@ _TWO_BAD_ROWS = [
                  ValueError, "layer b: missing tracker telemetry at step 1", id="noise_range_nan_before_gap"),
     pytest.param(noise_range_estimate, {("c", 1): None, ("a", 3): _NAN_H},
                  KeyError, "'c'", id="noise_range_gap_before_nan"),
+    pytest.param(noise_range_estimate, {("c", 5): _NAN_H},
+                 ValueError, "layer c: missing tracker telemetry at step 5", id="noise_range_last_row"),
+    pytest.param(noise_range_estimate, {("a", 0): None, ("c", 0): _NAN_H},
+                 ValueError, "layer c: missing tracker telemetry at step 0", id="noise_range_names_from_step_0"),
     pytest.param(alpha_ratio_envelope, {("b", 1): (1.5, 0.0), ("a", 4): (math.nan, 0.0)},
                  ValueError, "layer b: ratio 1.5 > 1 at step 1", id="ratio_step_first"),
     pytest.param(alpha_ratio_envelope, {("c", 2): (math.nan, 0.0), ("b", 2): (2.0, 0.0)},
                  ValueError, "layer b: ratio 2.0 > 1 at step 2", id="ratio_same_step_above_one"),
     pytest.param(alpha_ratio_envelope, {("b", 3): (math.nan, 0.0), ("c", 3): (1.5, 0.0)},
                  ValueError, "layer b: missing ratio telemetry at step 3", id="ratio_same_step_nan"),
+    pytest.param(alpha_ratio_envelope, {("b", 3): None, ("c", 4): (1.5, 0.0)},
+                 ValueError, "layer c: ratio 1.5 > 1 at step 4", id="ratio_after_short_step"),
+    pytest.param(alpha_ratio_envelope, {("a", 2): None, ("b", 2): (math.nan, 0.0)},
+                 ValueError, "layer b: missing ratio telemetry at step 2", id="ratio_in_short_step"),
 ]
 
 
