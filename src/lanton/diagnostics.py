@@ -110,28 +110,28 @@ def beta2_theory_floor(sigma_lo: float, sigma_hi: float, c2: float,
     return 1.0 - r2 * r2 / (32.0 * (2.0 * c2 - r2) ** 2 * math.log(4.0 * total_steps / delta))
 
 
-def _missing_h(records, names) -> None:
-    """Raise at the first record, and in it the first of ``names``, whose
-    tracker value is NaN (a layer a record lacks raises ``KeyError``)."""
-    for rec in records:
-        for name in names:
-            if math.isnan(rec.layers[name].h):
-                raise ValueError(f"layer {name}: missing tracker telemetry at step {rec.step}")
-
-
-def _h_rows(records, names, walk) -> np.ndarray:
+def _h_rows(records, names, layer_major) -> np.ndarray:
     """The tracker values as a (layers x steps) float64 array, one
     contiguous row per layer in ``names`` order, built in one pass over the
-    records. A record that lacks a layer, or a NaN anywhere, calls ``walk``,
-    which walks the records to raise at the first one in the caller's order."""
+    records. The first NaN, or layer a record lacks, raises: layer by layer
+    if ``layer_major``, else step by step (a lacking layer as ``KeyError``)."""
     try:
         flat = [rec.layers[name].h for rec in records for name in names]
     except KeyError:
-        walk()
-        raise
+        # Rebuilt with NaN in the gaps, to be told apart where one is met.
+        flat = [rec.layers[name].h if name in rec.layers else math.nan
+                for rec in records for name in names]
     rows = np.fromiter(flat, np.float64, len(flat)).reshape(len(records), len(names)).T.copy()
-    if np.isnan(rows).any():
-        walk()
+    nan = np.isnan(rows)
+    if nan.any():
+        if layer_major:
+            i, t = np.argwhere(nan)[0]
+        else:
+            t, i = np.argwhere(nan.T)[0]
+        name, rec = names[i], records[t]
+        if name not in rec.layers:
+            raise KeyError(name)
+        raise ValueError(f"layer {name}: missing tracker telemetry at step {rec.step}")
     return rows
 
 
@@ -161,12 +161,7 @@ def h_bounds_check(records, params: BoundParams) -> dict:
     fills = np.array([1.0 - beta2 ** (rec.step + 1) for rec, c in zip(records, checked) if c],
                      dtype=np.float64)
     n_checked = len(fills)
-
-    def walk():
-        for name in names:
-            _missing_h(records, [name])
-
-    hs = _h_rows(records, names, walk)
+    hs = _h_rows(records, names, layer_major=True)
     hs = hs[:, np.array(checked, dtype=bool)]
     upper_k = np.array([4.0 * radii[name][1] * radii[name][1] for name in names])[:, None]
     lower_k = np.array([radii[name][0] * radii[name][0] for name in names])[:, None]
@@ -222,16 +217,19 @@ def alpha_ratio_envelope(records, params: BoundParams, alpha: float,
     values = [stats.ratio for rec in records for stats in rec.layers.values()]
     ratios = np.fromiter(values, np.float64, len(values))
     counts = np.fromiter(map(len, map(attrgetter("layers"), records)), np.intp, len(records))
+    ends = np.cumsum(counts)
     with np.errstate(all="ignore"):
-        # Not <= 1 is a NaN or a ratio past 1; walk the rows to name it.
-        if not (ratios <= 1.0).all():
-            for rec in records:
-                for name, stats in rec.layers.items():
-                    r = stats.ratio
-                    if math.isnan(r):
-                        raise ValueError(f"layer {name}: missing ratio telemetry at step {rec.step}")
-                    if r > 1.0:
-                        raise ValueError(f"layer {name}: ratio {r} > 1 at step {rec.step}")
+        # Not <= 1 is a NaN or a ratio past 1; the first one's record is the
+        # first whose cumulative count passes its index.
+        ok = ratios <= 1.0
+        if not ok.all():
+            k = int(ok.argmin())
+            t = int(np.searchsorted(ends, k, side="right"))
+            rec = records[t]
+            name, stats = list(rec.layers.items())[k - int(ends[t] - counts[t])]
+            if math.isnan(stats.ratio):
+                raise ValueError(f"layer {name}: missing ratio telemetry at step {rec.step}")
+            raise ValueError(f"layer {name}: ratio {stats.ratio} > 1 at step {rec.step}")
         below = 0
         min_ratio, max_ratio = math.inf, -math.inf
         if ratios.size:
@@ -240,7 +238,7 @@ def alpha_ratio_envelope(records, params: BoundParams, alpha: float,
             min_ratio = float(ratios[ratios.argmin()])
             max_ratio = float(ratios[ratios.argmax()])
             # A record without layers has minimum inf, never below alpha_r.
-            starts = (np.cumsum(counts) - counts)[counts > 0]
+            starts = (ends - counts)[counts > 0]
             below = int(np.count_nonzero(np.minimum.reduceat(ratios, starts) < alpha_r))
     return {
         "alpha_r": alpha_r,
@@ -272,7 +270,7 @@ def noise_range_estimate(records, beta2: float,
     if not beta2 < 1.0:
         raise ValueError(f"beta2 {beta2} is not below 1")
     names = list(records[0].layers)
-    hs = _h_rows(records, names, lambda: _missing_h(records, names))
+    hs = _h_rows(records, names, layer_major=False)
     prev = np.zeros_like(hs)
     prev[:, 1:] = hs[:, :-1]
     with np.errstate(all="ignore"):
