@@ -497,7 +497,8 @@ def read_metrics(path, layers=None, max_steps=None) -> list[RunRecord]:
     list the first step's layers once each, in the same order; anything
     else is a ``ValueError`` naming the file and the step. So is a row
     without seven fields, and a field that does not parse as a number (the
-    step as an integer), which also names the column.
+    step as an integer), which also names the column, and a loss that is not
+    finite (a run ends a seed before it writes one).
 
     A reader that knows the run's config holds the file to it: ``layers``
     is the task's layer names in order, which every step must list, and
@@ -524,8 +525,12 @@ def read_metrics(path, layers=None, max_steps=None) -> list[RunRecord]:
                 if step != len(records):
                     problem = f"found step {step} where step {len(records)} was expected"
                     break
+                loss = float(row_loss)
+                if not math.isfinite(loss):
+                    problem = f"step {step}: loss {row_loss!r} is not finite"
+                    break
                 step_text, loss_text, stats = row_step, row_loss, {}
-                records.append(RunRecord(step, float(row_loss), stats))
+                records.append(RunRecord(step, loss, stats))
             elif row_loss != loss_text:
                 problem = (f"step {step}: loss {row_loss!r} differs from "
                            f"the step's first row ({loss_text!r})")

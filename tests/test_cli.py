@@ -411,6 +411,7 @@ def _field_of_step_5(row, column, text):
                  id="eta_eff_not_a_number"),
     pytest.param(_field_of_step_5(0, 1, "banana"), "step 5: loss 'banana' is not a number",
                  id="loss_not_a_number"),
+    pytest.param(_field_of_step_5(0, 1, "inf"), "step 5: loss 'inf' is not finite", id="loss_not_finite"),
     pytest.param(_field_of_step_5(0, 0, "x"), "step 'x' is not an integer", id="step_not_an_integer"),
     pytest.param(_row_of_step_5(1, lambda parts: parts[:-1]), "malformed row", id="six_fields"),
     pytest.param(_row_of_step_5(1, lambda parts: parts + ["0"]), "malformed row", id="eight_fields"),

@@ -12,6 +12,7 @@ import io
 import json
 import math
 import os
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -387,7 +388,15 @@ def _records(draw):
 def test_metrics_csv_round_trips(tmp_path_factory, records):
     path = str(tmp_path_factory.mktemp("csv") / "seed_0.csv")
     emit_metrics(records, path)
-    assert _bits(read_metrics(path)) == _bits(records)
+    # A run ends a seed before it writes a non-finite loss, so the reader
+    # rejects the first one at its step.
+    bad = next((r for r in records if not math.isfinite(r.loss)), None)
+    if bad is None:
+        assert _bits(read_metrics(path)) == _bits(records)
+    else:
+        message = f"step {bad.step}: loss '{bad.loss!r}' is not finite"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_metrics(path)
 
 
 # A group with a shape it takes; entries are multiples of 1/64, so zeros,
