@@ -112,9 +112,9 @@ def beta2_theory_floor(sigma_lo: float, sigma_hi: float, c2: float,
 
 def _h_rows(records, names, layer_major) -> np.ndarray:
     """The tracker values as a (layers x steps) float64 array, one
-    contiguous row per layer in ``names`` order, built in one pass over the
-    records. The first NaN, or layer a record lacks, raises: layer by layer
-    if ``layer_major``, else step by step (a lacking layer as ``KeyError``)."""
+    contiguous row per layer in ``names`` order. The first NaN, or layer a
+    record lacks, raises: layer by layer if ``layer_major``, else step by
+    step (a lacking layer as ``KeyError``)."""
     try:
         flat = [rec.layers[name].h for rec in records for name in names]
     except KeyError:

@@ -377,24 +377,25 @@ def _bits(records):
 
 @st.composite
 def _records(draw):
-    # Steps 0..n-1, as a run writes them: the reader rejects any others.
+    # Steps 0..n-1 and finite losses, as a run writes them: the reader
+    # rejects any others.
     names = draw(st.lists(_CSV_NAME, min_size=1, max_size=4, unique=True))
-    return [RunRecord(step=step, loss=draw(_STAT), layers={
+    return [RunRecord(step=step, loss=draw(st.floats(allow_nan=False, allow_infinity=False)), layers={
         name: LayerStats(*(draw(_STAT) for _ in range(4))) for name in names})
         for step in range(draw(st.integers(0, 4)))]
 
 
-@given(_records())
-def test_metrics_csv_round_trips(tmp_path_factory, records):
+@given(_records(), st.sampled_from([math.inf, -math.inf, math.nan]))
+def test_metrics_csv_round_trips(tmp_path_factory, records, bad_loss):
     path = str(tmp_path_factory.mktemp("csv") / "seed_0.csv")
     emit_metrics(records, path)
-    # A run ends a seed before it writes a non-finite loss, so the reader
-    # rejects the first one at its step.
-    bad = next((r for r in records if not math.isfinite(r.loss)), None)
-    if bad is None:
-        assert _bits(read_metrics(path)) == _bits(records)
-    else:
-        message = f"step {bad.step}: loss '{bad.loss!r}' is not finite"
+    assert _bits(read_metrics(path)) == _bits(records)
+    if records:
+        # A run ends a seed before it writes a non-finite loss, so the
+        # reader rejects one at its step.
+        records[-1] = records[-1]._replace(loss=bad_loss)
+        emit_metrics(records, path)
+        message = f"step {records[-1].step}: loss '{bad_loss!r}' is not finite"
         with pytest.raises(ValueError, match=re.escape(message)):
             read_metrics(path)
 
