@@ -27,7 +27,8 @@ from .harness import (
     build_task,  # not called here; perfbench/tracer.py patches lanton.cli.build_task
     compare_runs,
     parse_config,
-    read_metrics,
+    read_columns,
+    read_metrics,  # not called here; perfbench/tracer.py patches lanton.cli.read_metrics
     read_run_config,
     run_experiment,
     seed_csv,
@@ -145,15 +146,16 @@ def _cmd_diagnose(args) -> int:
                    and opt.noise_update_interval == 1 and cfg.telemetry.h)
     per_seed = []
     for seed in cfg.seeds:
-        records = read_metrics(seed_csv(args.dir, seed), list(layer_groups), cfg.total_steps)
+        columns = read_columns(seed_csv(args.dir, seed), list(layer_groups), cfg.total_steps)
         # A seed that aborted at step 0 wrote no rows: it gets null reports.
+        rows = bool(columns.losses)
         entry = {"seed": seed, "alpha_ratio": None}
-        if cfg.telemetry.ratio and records:
-            entry["alpha_ratio"] = alpha_ratio_envelope(records, params, opt.alpha, layer_groups=layer_groups)
+        if cfg.telemetry.ratio and rows:
+            entry["alpha_ratio"] = alpha_ratio_envelope(columns, params, opt.alpha, layer_groups=layer_groups)
         if interval_ok:
-            entry["h_bounds"] = h_bounds_check(records, params) if records else None
-            entry["noise_range"] = (noise_range_estimate(records, opt.beta2, layer_groups=layer_groups)
-                                    if records else None)
+            entry["h_bounds"] = h_bounds_check(columns, params) if rows else None
+            entry["noise_range"] = (noise_range_estimate(columns, opt.beta2, layer_groups=layer_groups)
+                                    if rows else None)
         per_seed.append(entry)
     report = {
         "run": args.dir,

@@ -20,7 +20,8 @@ bounded below by
 
 with kappa the largest sigma_hi/sigma_lo over layers (0/0 counts as 1).
 
-All functions are pure consumers of the record stream.
+All functions are pure consumers of the telemetry: a record stream, or the
+columns ``harness.read_columns`` reads from a seed CSV.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from operator import attrgetter
 
 import numpy as np
 
+from .harness import RunColumns
 from .norms import Group
 from .tasks import NoiseProfile
 
@@ -110,28 +112,43 @@ def beta2_theory_floor(sigma_lo: float, sigma_hi: float, c2: float,
     return 1.0 - r2 * r2 / (32.0 * (2.0 * c2 - r2) ** 2 * math.log(4.0 * total_steps / delta))
 
 
-def _h_rows(records, names, layer_major) -> np.ndarray:
+def _layout(records) -> tuple[list[str], list[int]]:
+    """The layer names and the step numbers of a record stream (the names
+    from its first record) or of :class:`RunColumns` (steps 0 to n-1)."""
+    if isinstance(records, RunColumns):
+        names, steps = list(records.layers), range(len(records.losses))
+    else:
+        names, steps = list(records[0].layers) if records else [], [rec.step for rec in records]
+    if not steps:
+        raise ValueError("empty record stream")
+    return names, steps
+
+
+def _h_rows(records, names, steps, layer_major) -> np.ndarray:
     """The tracker values as a (layers x steps) float64 array, one
     contiguous row per layer in ``names`` order. The first NaN, or layer a
     record lacks, raises: layer by layer if ``layer_major``, else step by
     step (a lacking layer as ``KeyError``)."""
-    try:
-        flat = [rec.layers[name].h for rec in records for name in names]
-    except KeyError:
-        # Rebuilt with NaN in the gaps, to be told apart where one is met.
-        flat = [rec.layers[name].h if name in rec.layers else math.nan
-                for rec in records for name in names]
-    rows = np.fromiter(flat, np.float64, len(flat)).reshape(len(records), len(names)).T.copy()
+    if isinstance(records, RunColumns):
+        rows = records.h.T.copy()
+    else:
+        try:
+            flat = [rec.layers[name].h for rec in records for name in names]
+        except KeyError:
+            # Rebuilt with NaN in the gaps, to be told apart where one is met.
+            flat = [rec.layers[name].h if name in rec.layers else math.nan
+                    for rec in records for name in names]
+        rows = np.fromiter(flat, np.float64, len(flat)).reshape(len(records), len(names)).T.copy()
     nan = np.isnan(rows)
     if nan.any():
         if layer_major:
             i, t = np.argwhere(nan)[0]
         else:
             t, i = np.argwhere(nan.T)[0]
-        name, rec = names[i], records[t]
-        if name not in rec.layers:
+        name = names[i]
+        if not isinstance(records, RunColumns) and name not in records[t].layers:
             raise KeyError(name)
-        raise ValueError(f"layer {name}: missing tracker telemetry at step {rec.step}")
+        raise ValueError(f"layer {name}: missing tracker telemetry at step {steps[t]}")
     return rows
 
 
@@ -144,9 +161,7 @@ def h_bounds_check(records, params: BoundParams) -> dict:
     a hard failure of the deterministic envelope. A NaN or a missing layer
     raises at the first one met layer by layer, each layer in step order.
     """
-    if not records:
-        raise ValueError("empty record stream")
-    names = list(records[0].layers)
+    names, steps = _layout(records)
     radii = params.profile.radii
     for name in names:
         if name not in radii:
@@ -154,14 +169,14 @@ def h_bounds_check(records, params: BoundParams) -> dict:
     beta2 = params.beta2
     c2 = params.c2
     t0 = tracker_burn_in(beta2)
-    total = len(records)
-    # The records past the burn-in and their fill 1 - beta2^(t+1), shared
-    # by every layer. The fills are Python powers: numpy's may round apart.
-    checked = [rec.step + 1 >= t0 for rec in records]
-    fills = np.array([1.0 - beta2 ** (rec.step + 1) for rec, c in zip(records, checked) if c],
+    total = len(steps)
+    # The steps past the burn-in and their fill 1 - beta2^(t+1), shared by
+    # every layer. The fills are Python powers: numpy's may round apart.
+    checked = [step + 1 >= t0 for step in steps]
+    fills = np.array([1.0 - beta2 ** (step + 1) for step, c in zip(steps, checked) if c],
                      dtype=np.float64)
     n_checked = len(fills)
-    hs = _h_rows(records, names, layer_major=True)
+    hs = _h_rows(records, names, steps, layer_major=True)
     hs = hs[:, np.array(checked, dtype=bool)]
     upper_k = np.array([4.0 * radii[name][1] * radii[name][1] for name in names])[:, None]
     lower_k = np.array([radii[name][0] * radii[name][0] for name in names])[:, None]
@@ -201,6 +216,27 @@ def compute_alpha_r(alpha: float, params: BoundParams) -> float:
     return min(first, second)
 
 
+def _ratio_values(records):
+    """Every ratio in step order, as a flat float64 array; how many each
+    step lists (records may list different layers); and ``locate(k)``, the
+    layer, step index and ratio of the k-th value."""
+    if isinstance(records, RunColumns):
+        names, ratios = records.layers, records.ratio.ravel()
+        counts = np.full(len(records.losses), len(names), np.intp)
+        return ratios, counts, lambda k: (names[k % len(names)], k // len(names), float(ratios[k]))
+    values = [stats.ratio for rec in records for stats in rec.layers.values()]
+    counts = np.fromiter(map(len, map(attrgetter("layers"), records)), np.intp, len(records))
+
+    def locate(k):
+        # The first record whose cumulative count passes the index.
+        ends = np.cumsum(counts)
+        t = int(np.searchsorted(ends, k, side="right"))
+        name, stats = list(records[t].layers.items())[k - int(ends[t] - counts[t])]
+        return name, t, stats.ratio
+
+    return np.fromiter(values, np.float64, len(values)), counts, locate
+
+
 def alpha_ratio_envelope(records, params: BoundParams, alpha: float,
                          layer_groups: dict[str, str] | None = None) -> dict:
     """Observed rate-ratio range against the computed lower envelope.
@@ -209,27 +245,17 @@ def alpha_ratio_envelope(records, params: BoundParams, alpha: float,
     NaN or ratio past 1 in step order) and reports the per-step min/max
     ratio plus the fraction of steps whose minimum falls below alpha_r.
     """
-    if not records:
-        raise ValueError("empty record stream")
+    _, steps = _layout(records)
     alpha_r = compute_alpha_r(alpha, params)
-    # Every ratio in record order, and how many each record lists: records
-    # may list different layers.
-    values = [stats.ratio for rec in records for stats in rec.layers.values()]
-    ratios = np.fromiter(values, np.float64, len(values))
-    counts = np.fromiter(map(len, map(attrgetter("layers"), records)), np.intp, len(records))
-    ends = np.cumsum(counts)
+    ratios, counts, locate = _ratio_values(records)
     with np.errstate(all="ignore"):
-        # Not <= 1 is a NaN or a ratio past 1; the first one's record is the
-        # first whose cumulative count passes its index.
+        # Not <= 1 is a NaN or a ratio past 1.
         ok = ratios <= 1.0
         if not ok.all():
-            k = int(ok.argmin())
-            t = int(np.searchsorted(ends, k, side="right"))
-            rec = records[t]
-            name, stats = list(rec.layers.items())[k - int(ends[t] - counts[t])]
-            if math.isnan(stats.ratio):
-                raise ValueError(f"layer {name}: missing ratio telemetry at step {rec.step}")
-            raise ValueError(f"layer {name}: ratio {stats.ratio} > 1 at step {rec.step}")
+            name, t, ratio = locate(int(ok.argmin()))
+            if math.isnan(ratio):
+                raise ValueError(f"layer {name}: missing ratio telemetry at step {steps[t]}")
+            raise ValueError(f"layer {name}: ratio {ratio} > 1 at step {steps[t]}")
         below = 0
         min_ratio, max_ratio = math.inf, -math.inf
         if ratios.size:
@@ -238,14 +264,14 @@ def alpha_ratio_envelope(records, params: BoundParams, alpha: float,
             min_ratio = float(ratios[ratios.argmin()])
             max_ratio = float(ratios[ratios.argmax()])
             # A record without layers has minimum inf, never below alpha_r.
-            starts = (ends - counts)[counts > 0]
+            starts = (np.cumsum(counts) - counts)[counts > 0]
             below = int(np.count_nonzero(np.minimum.reduceat(ratios, starts) < alpha_r))
     return {
         "alpha_r": alpha_r,
         "min_ratio": min_ratio,
         "max_ratio": max_ratio,
-        "steps": len(records),
-        "frac_below_alpha_r": below / len(records),
+        "steps": len(steps),
+        "frac_below_alpha_r": below / len(steps),
         "layer_groups": dict(layer_groups) if layer_groups else None,
     }
 
@@ -263,14 +289,12 @@ def noise_range_estimate(records, beta2: float,
     layer raises at the first one met step by step. ``beta2`` must be
     below 1.
     """
-    if not records:
-        raise ValueError("empty record stream")
-    if records[0].step < 0:
-        raise ValueError(f"step {records[0].step} < 0: the tracker recursion starts at step 0")
+    names, steps = _layout(records)
+    if steps[0] < 0:
+        raise ValueError(f"step {steps[0]} < 0: the tracker recursion starts at step 0")
     if not beta2 < 1.0:
         raise ValueError(f"beta2 {beta2} is not below 1")
-    names = list(records[0].layers)
-    hs = _h_rows(records, names, layer_major=False)
+    hs = _h_rows(records, names, steps, layer_major=False)
     prev = np.zeros_like(hs)
     prev[:, 1:] = hs[:, :-1]
     with np.errstate(all="ignore"):
@@ -287,4 +311,4 @@ def noise_range_estimate(records, beta2: float,
             acc.setdefault(layer_groups[name], []).append(row)
         # The mean over each group's layer-major concatenation.
         groups = {g: float(np.concatenate(rows).mean()) for g, rows in sorted(acc.items())}
-    return {"window": [0, records[-1].step + 1], "layers": per_layer, "group_means": groups}
+    return {"window": [0, steps[-1] + 1], "layers": per_layer, "group_means": groups}

@@ -16,6 +16,7 @@ import math
 import os
 import statistics
 import time
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
@@ -58,6 +59,7 @@ __all__ = [
     "TelemetryFlags",
     "ExperimentConfig",
     "RunRecord",
+    "RunColumns",
     "parse_config",
     "task_layers",
     "build_task",
@@ -66,6 +68,7 @@ __all__ = [
     "run_experiment",
     "emit_metrics",
     "read_metrics",
+    "read_columns",
     "steps_to_threshold",
     "compare_runs",
     "read_run_config",
@@ -76,6 +79,7 @@ __all__ = [
 
 CSV_HEADER = ",".join(["step", "loss", "layer"] + [{"h": "H"}.get(f, f) for f in LayerStats._fields])
 _ROW_FORMAT = "%s%s" + ",%.17g" * len(LayerStats._fields)
+_ROW_FIELDS = CSV_HEADER.count(",") + 1
 
 OPTIMIZER_KINDS = ("lanton",) + BASELINE_KINDS
 
@@ -119,6 +123,12 @@ class RunRecord(NamedTuple):
     loss: float
     layers: dict[str, LayerStats]
     wall_ns: int = 0
+
+
+RunColumns = namedtuple("RunColumns", ("losses", "layers") + LayerStats._fields)
+RunColumns.__doc__ = """One seed CSV as columns: the per-step losses (a list of floats), the
+layer names in row order, and one (steps x layers) float64 array per
+telemetry column, named after the :class:`LayerStats` fields."""
 
 
 # ----------------------------------------------------------------------------
@@ -505,12 +515,7 @@ def read_metrics(path, layers=None, max_steps=None) -> list[RunRecord]:
     ``max_steps`` the run's ``total_steps``, which the file may fall short
     of (a seed may abort) but not exceed.
     """
-    # Split on LF alone, the only line break the writer emits: a layer name
-    # may hold other characters that str.splitlines() would break at.
-    with open(path, "r", encoding="utf-8", newline="\n") as f:
-        lines = f.read().split("\n")
-    if lines[-1] == "":
-        lines.pop()
+    lines = _csv_lines(path)
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"{path}: missing or unexpected header")
     records: list[RunRecord] = []
@@ -558,6 +563,68 @@ def read_metrics(path, layers=None, max_steps=None) -> list[RunRecord]:
             raise ValueError(f"{path}: step {rec.step} lists layers {list(rec.layers)}, "
                              f"not the first step's {order}")
     return records
+
+
+def read_columns(path, layers, max_steps) -> RunColumns:
+    """Read an emitted CSV straight into :class:`RunColumns`: the values
+    ``read_metrics(path, layers, max_steps)`` gives, bit for bit, without a
+    record per row.
+
+    One pass splits the rows, transposes them and checks the layout as
+    whole columns: seven fields a row, the layer column ``layers`` once per
+    step, one step text and one loss text per step, the steps ``"0"`` to
+    ``"n-1"`` with n at most ``max_steps``, and finite losses. Any file this
+    cannot prove valid goes to ``read_metrics``, the statement of the format,
+    which raises its error, or which returns the records of a valid file
+    written in another form (a step ``01``) to build the columns from.
+    """
+    layers = tuple(layers)
+    columns = _emitted_columns(_csv_lines(path), layers, max_steps)
+    if columns is not None:
+        return columns
+    records = read_metrics(path, layers, max_steps)
+    values = np.array([list(rec.layers.values()) for rec in records], dtype=np.float64)
+    values = values.reshape(len(records), len(layers), len(LayerStats._fields)).transpose(2, 0, 1)
+    return RunColumns([rec.loss for rec in records], layers, *np.ascontiguousarray(values))
+
+
+def _emitted_columns(lines, layers, max_steps) -> RunColumns | None:
+    """The columns of a CSV's lines if they are laid out as ``emit_metrics``
+    writes a run of ``layers``, in at most ``max_steps`` steps; else None."""
+    width = len(layers)
+    if not width or len(set(layers)) != width or not lines or lines[0] != CSV_HEADER:
+        return None
+    rows = [line.split(",") for line in lines[1:]]
+    n, extra = divmod(len(rows), width)
+    if not n or extra or n > max_steps or set(map(len, rows)) != {_ROW_FIELDS}:
+        return None
+    step, loss, name, *stats = zip(*rows)
+    steps, losses = step[::width], loss[::width]
+    if (name != layers * n or steps != tuple(map(str, range(n)))
+            or any(step[j::width] != steps or loss[j::width] != losses for j in range(1, width))):
+        return None
+    try:
+        losses = list(map(float, losses))
+        arrays = [np.fromiter(map(float, column), np.float64, len(column)).reshape(n, width)
+                  for column in stats]
+    except ValueError:
+        return None
+    return RunColumns(losses, layers, *arrays) if all(map(math.isfinite, losses)) else None
+
+
+def _csv_lines(path) -> list[str]:
+    """The lines of a telemetry CSV, without the newline that ends the last.
+    Bytes that are not UTF-8 give a ``ValueError`` naming the file."""
+    # Split on LF alone, the only line break the writer emits: a layer name
+    # may hold other characters that str.splitlines() would break at.
+    try:
+        with open(path, "r", encoding="utf-8", newline="\n") as f:
+            lines = f.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if lines[-1] == "":
+        lines.pop()
+    return lines
 
 
 def _unreadable_row(line: str) -> str | None:
@@ -636,8 +703,11 @@ def read_run_config(path: str) -> ExperimentConfig:
     ``ConfigError`` keeps the field path and names the file.
     """
     config_path = os.path.join(path, "config.json")
-    with open(config_path, "r", encoding="utf-8") as f:
-        text = f.read()
+    try:
+        with open(config_path, "r", encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{config_path}: {exc}") from None
     try:
         cfg = parse_config(text)
         field = _echo_mismatch(json.loads(text), canonical_config(cfg))
@@ -652,7 +722,7 @@ def load_run_dir(path: str):
     """The typed config and the per-seed losses of a run directory."""
     cfg = read_run_config(path)
     names = [spec.name for spec, _ in task_layers(cfg.task_section)]
-    return cfg, {seed: [r.loss for r in read_metrics(seed_csv(path, seed), names, cfg.total_steps)]
+    return cfg, {seed: read_columns(seed_csv(path, seed), names, cfg.total_steps).losses
                  for seed in cfg.seeds}
 
 

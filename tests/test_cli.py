@@ -191,8 +191,12 @@ def test_diagnose_two_inf_h_values_as_the_record_walk(tmp_path, capsys, monkeypa
     with open(os.path.join(run, "diagnostics.json")) as f:
         assert f.read() == got.out
     json.loads(got.out, parse_constant=_not_json)
+    # The CLI reads columns; the walks get the records of the same CSV.
+    records = lanton.harness.read_metrics(csv)
     for name in ("alpha_ratio_envelope", "h_bounds_check", "noise_range_estimate"):
-        monkeypatch.setattr(lanton.cli, name, getattr(diagnostics_reference, name))
+        walk = getattr(diagnostics_reference, name)
+        monkeypatch.setattr(lanton.cli, name,
+                            lambda columns, *args, _walk=walk, **kwargs: _walk(records, *args, **kwargs))
     assert main(["diagnose", run]) == 0
     assert capsys.readouterr().out == got.out
 
@@ -435,6 +439,28 @@ def test_readers_reject_inconsistent_csv(tmp_path, capsys, corrupt, message):
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
         assert err["message"].startswith(f"{csv}: ") and message in err["message"]
+
+
+@pytest.mark.parametrize("command", ["diagnose", "compare"])
+@pytest.mark.parametrize("name", ["seed_0.csv", "config.json"])
+def test_readers_name_a_file_that_is_not_utf8(tmp_path, capsys, name, command):
+    # One byte set to 0xff, which no UTF-8 text holds: the error names the
+    # file, so compare can say which run directory is bad.
+    a, b = _two_runs(tmp_path)
+    path = os.path.join(a, name)
+    with open(path, "rb") as f:
+        data = bytearray(f.read())
+    data[len(data) // 2] = 0xFF
+    with open(path, "wb") as f:
+        f.write(data)
+    capsys.readouterr()
+    argv = ["diagnose", a] if command == "diagnose" else ["compare", b, a, "--threshold", "0.5"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith(f"{path}: ") and "can't decode byte 0xff" in err["message"]
 
 
 def test_diverging_seed_prints_no_warning(tmp_path):

@@ -1,7 +1,9 @@
 """Property tests of the config round trip, config robustness, the
 readers' acceptance of every run a config gives, the telemetry CSV round
-trip, the LMO's optimality and duality pairing, and the bit-exactness of
-the step path's dual norm, LMO, Newton-Schulz and noise draws.
+trip, the column reader against the record reader (values, errors and the
+diagnostics' reports), the LMO's optimality and duality pairing, and the
+bit-exactness of the step path's dual norm, LMO, Newton-Schulz and noise
+draws.
 
 Generated configs cover the four task forms (the two quadratic presets, an
 explicit layer list, the MLP) and every optimizer kind, with each optional
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from lanton.cli import main
+from lanton.diagnostics import BoundParams, alpha_ratio_envelope, h_bounds_check, noise_range_estimate
 from lanton.harness import (
     ConfigError,
     RunRecord,
@@ -29,6 +32,7 @@ from lanton.harness import (
     canonical_config,
     emit_metrics,
     parse_config,
+    read_columns,
     read_metrics,
     task_layers,
 )
@@ -36,6 +40,7 @@ from lanton.lmo import lmo, newton_schulz
 from lanton.norms import Group, dual_norm, primal_norm
 from lanton.optimizer import CSV_UNSAFE, LayerSpec, LayerStats
 from lanton.tasks import NoiseProfile, noise_streams, perturb_gradients
+from test_diagnostics import _TWO_BAD_ROWS, _stream_with
 
 _SEED = st.integers(0, 2**32)
 _DIM = st.integers(1, 6)
@@ -398,6 +403,168 @@ def test_metrics_csv_round_trips(tmp_path_factory, records, bad_loss):
         message = f"step {records[-1].step}: loss '{bad_loss!r}' is not finite"
         with pytest.raises(ValueError, match=re.escape(message)):
             read_metrics(path)
+
+
+def _read(reader, path, layers, max_steps):
+    """What a reader gives: its value, or the text of its ValueError."""
+    try:
+        return reader(path, layers, max_steps)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+def _column_bits(columns):
+    """Every value of read columns as its bits, so NaN and -0.0 compare."""
+    return ([x.hex() for x in columns.losses], columns.layers,
+            [(column.dtype.str, column.shape, column.view(np.int64).tolist())
+             for column in columns[2:]])
+
+
+def _record_bits(records, layers):
+    """The bits read_columns must give for ``read_metrics``' records."""
+    shape = (len(records), len(layers))
+    return ([r.loss.hex() for r in records], tuple(layers),
+            [("<f8", shape, np.array([[getattr(r.layers[name], field) for name in layers]
+                                      for r in records], dtype=np.float64).reshape(shape)
+              .view(np.int64).tolist())
+             for field in LayerStats._fields])
+
+
+def _assert_same_read(path, layers, max_steps):
+    records = _read(read_metrics, path, layers, max_steps)
+    columns = _read(read_columns, path, layers, max_steps)
+    if isinstance(records, tuple):
+        assert columns == records
+    else:
+        assert _column_bits(columns) == _record_bits(records, layers)
+    return records, columns
+
+
+# Edits of one step's rows, as (field, new text): a step text that int()
+# takes but the writer never gives, another step number, and a loss that is
+# not finite or that another row of the step does not repeat.
+_STEP_EDITS = {
+    "step_plus": (0, "+{step}"),
+    "step_zero": (0, "0{step}"),
+    "step_next": (0, "{next}"),
+    "step_negative": (0, "-1"),
+    "loss_inf": (1, "inf"),
+    "loss_nan": (1, "nan"),
+    "loss_negative_zero": (1, "-0.0"),
+}
+
+
+@pytest.mark.parametrize("edit", [None, *_STEP_EDITS])
+@given(records=_records(), data=st.data())
+def test_read_columns_gives_read_metrics_values(tmp_path_factory, edit, records, data):
+    # Streams as emit_metrics writes them, one step's rows edited (all of
+    # them or the first few), read with the file's layers or others and a
+    # step cap that the file may exceed.
+    path = str(tmp_path_factory.mktemp("columns") / "seed_0.csv")
+    emit_metrics(records, path)
+    names = list(records[0].layers) if records else ["a"]
+    with open(path, encoding="utf-8", newline="\n") as f:
+        lines = f.read().split("\n")
+    if records and edit is not None:
+        step = data.draw(st.integers(0, len(records) - 1))
+        field, text = _STEP_EDITS[edit]
+        rows = [i for i, line in enumerate(lines) if line.startswith(f"{step},")]
+        for i in rows[:data.draw(st.integers(1, len(rows)))]:
+            fields = lines[i].split(",")
+            fields[field] = text.format(step=step, next=step + 1)
+            lines[i] = ",".join(fields)
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write("\n".join(lines))
+    layers = data.draw(st.sampled_from([names, names[::-1], names[:1], names + ["zz"]]))
+    _assert_same_read(path, layers, data.draw(st.sampled_from([len(records), 5, 0, 1])))
+
+
+def test_read_columns_takes_no_layer_twice(tmp_path):
+    # A config never lists a layer twice; a caller that does gets
+    # read_metrics' error for the file that repeats it.
+    path = str(tmp_path / "seed_0.csv")
+    emit_metrics([RunRecord(0, 1.0, {"a": LayerStats(1.0, 1.0, 0.0, 0.0)})], path)
+    with open(path, encoding="utf-8") as f:
+        header, row = f.read().splitlines()
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(f"{header}\n{row}\n{row}\n")
+    records, _ = _assert_same_read(path, ["a", "a"], 1)
+    assert records == (ValueError, f"{path}: step 0: layer 'a' listed twice")
+
+
+@settings(max_examples=120)
+@given(st.data())
+def test_read_columns_gives_read_metrics_values_on_corrupted_csv(option_two_run_dirs, tmp_path_factory, data):
+    a, _ = option_two_run_dirs
+    with open(os.path.join(a, "seed_0.csv"), "rb") as f:
+        csv = f.read()
+    with open(os.path.join(a, "config.json"), "rb") as f:
+        config = f.read()
+    target, corrupted, _ = data.draw(_corruptions(csv, config))
+    path = tmp_path_factory.mktemp("corrupt_csv") / "seed_0.csv"
+    path.write_bytes(corrupted if target == "csv" else csv)
+    _assert_same_read(str(path), _CORRUPT_LAYERS, _STEPS)
+
+
+def _reports(records, params, alpha, groups):
+    """Each diagnostic's report bytes on ``records``, or what it raised."""
+    calls = (
+        lambda: h_bounds_check(records, params),
+        lambda: alpha_ratio_envelope(records, params, alpha, layer_groups=groups),
+        lambda: noise_range_estimate(records, params.beta2, layer_groups=groups),
+    )
+    out = []
+    for call in calls:
+        try:
+            out.append(json.dumps(call(), sort_keys=True))
+        except Exception as exc:  # the exception is the outcome
+            out.append((type(exc).__name__, str(exc)))
+    return out
+
+
+_ODD_VALUE = st.sampled_from(["nan", "inf", "-inf", "-0.0", "0", "5e-324", "1.5", "1.0000000000000002"])
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_diagnostics_give_the_same_report_from_columns(option_two_run_dirs, tmp_path_factory, data):
+    # A run's CSV with some telemetry fields set to NaN, infinities, signed
+    # zeros or ratios past 1, read both ways.
+    a, _ = option_two_run_dirs
+    with open(os.path.join(a, "seed_0.csv"), encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    for _ in range(data.draw(st.integers(0, 4))):
+        row = data.draw(st.integers(1, len(lines) - 1))
+        fields = lines[row].split(",")
+        fields[data.draw(st.integers(3, 6))] = data.draw(_ODD_VALUE)
+        lines[row] = ",".join(fields)
+    path = tmp_path_factory.mktemp("diagnose") / "seed_0.csv"
+    path.write_text("\n".join(lines) + "\n")
+    records, columns = _assert_same_read(str(path), _CORRUPT_LAYERS, _STEPS)
+    radii = {name: tuple(sorted(data.draw(st.lists(st.floats(0.0, 3.0), min_size=2, max_size=2))))
+             for name in _CORRUPT_LAYERS}
+    params = BoundParams(c1=0.1, c2=data.draw(st.sampled_from([1.0, 2.0, 9.0])), delta=0.05,
+                         beta2=data.draw(st.sampled_from([0.0, 0.5, 0.9, 0.999])),
+                         profile=NoiseProfile(radii))
+    alpha = data.draw(st.sampled_from([0.05, 1.0, 1e3]))
+    groups = data.draw(st.one_of(st.none(), st.just({name: "hidden" for name in _CORRUPT_LAYERS})))
+    assert _reports(columns, params, alpha, groups) == _reports(records, params, alpha, groups)
+
+
+@pytest.mark.parametrize("check,bad,error,message", [
+    case for case in _TWO_BAD_ROWS if None not in case.values[1].values()])
+def test_two_bad_rows_named_alike_from_columns(tmp_path, check, bad, error, message):
+    # The NaN-H and ratio past 1 streams of the diagnostics' tests, written
+    # to a CSV: the columns raise the same error as the file's records.
+    path = str(tmp_path / "seed_0.csv")
+    emit_metrics(_stream_with(bad), path)
+    records, columns = _assert_same_read(path, ["a", "b", "c"], 6)
+    profile = NoiseProfile({name: (0.0, 1.0) for name in ("a", "b", "c")})
+    params = BoundParams(c1=0.1, c2=1.0, delta=0.05, beta2=0.9, profile=profile)
+    reports = _reports(columns, params, 0.05, None)
+    assert reports == _reports(records, params, 0.05, None)
+    index = [h_bounds_check, alpha_ratio_envelope, noise_range_estimate].index(check)
+    assert reports[index] == (error.__name__, message)
 
 
 # A group with a shape it takes; entries are multiples of 1/64, so zeros,
