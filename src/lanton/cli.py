@@ -34,6 +34,7 @@ from .harness import (
     seed_csv,
     task_layers,
     _load_document,
+    _read_text,
     _write_text_atomic,
 )
 from .tasks import NoiseProfile
@@ -81,9 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(path: str, args) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as f:
-        cfg = parse_config(f.read())
-    return _apply_overrides(cfg, args)
+    return _apply_overrides(parse_config(_read_text(path)), args)
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
@@ -185,10 +184,8 @@ def _set_path(obj: dict, dotted: str, value) -> None:
 
 def _cmd_sweep(args) -> int:
     check_integer(args.workers, "--workers", lo=1)
-    with open(args.config, "r", encoding="utf-8") as f:
-        base_raw = _load_document(f.read())
-    with open(args.grid, "r", encoding="utf-8") as f:
-        grid = _load_document(f.read(), "--grid")
+    base_raw = _load_document(_read_text(args.config))
+    grid = _load_document(_read_text(args.grid), "--grid")
     if not grid:
         raise ConfigError("--grid", "expected a non-empty object of path -> values")
     keys = sorted(grid)

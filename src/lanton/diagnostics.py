@@ -20,19 +20,18 @@ bounded below by
 
 with kappa the largest sigma_hi/sigma_lo over layers (0/0 counts as 1).
 
-All functions are pure consumers of the telemetry: a record stream, or the
-columns ``harness.read_columns`` reads from a seed CSV.
+All functions are pure consumers of the telemetry as
+:class:`harness.RunColumns`: the columns ``harness.read_columns`` reads from
+a seed CSV, or that ``harness.columns_of`` builds from a run's records.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
-from .harness import RunColumns
 from .norms import Group
 from .tasks import NoiseProfile
 
@@ -112,56 +111,39 @@ def beta2_theory_floor(sigma_lo: float, sigma_hi: float, c2: float,
     return 1.0 - r2 * r2 / (32.0 * (2.0 * c2 - r2) ** 2 * math.log(4.0 * total_steps / delta))
 
 
-def _layout(records) -> tuple[list[str], list[int]]:
-    """The layer names and the step numbers of a record stream (the names
-    from its first record) or of :class:`RunColumns` (steps 0 to n-1)."""
-    if isinstance(records, RunColumns):
-        names, steps = list(records.layers), range(len(records.losses))
-    else:
-        names, steps = list(records[0].layers) if records else [], [rec.step for rec in records]
-    if not steps:
+def _steps(columns) -> int:
+    """The number of steps in ``columns``, which must be at least one."""
+    if not len(columns.losses):
         raise ValueError("empty record stream")
-    return names, steps
+    return len(columns.losses)
 
 
-def _h_rows(records, names, steps, layer_major) -> np.ndarray:
+def _h_rows(columns, layer_major) -> np.ndarray:
     """The tracker values as a (layers x steps) float64 array, one
-    contiguous row per layer in ``names`` order. The first NaN, or layer a
-    record lacks, raises: layer by layer if ``layer_major``, else step by
-    step (a lacking layer as ``KeyError``)."""
-    if isinstance(records, RunColumns):
-        rows = records.h.T.copy()
-    else:
-        try:
-            flat = [rec.layers[name].h for rec in records for name in names]
-        except KeyError:
-            # Rebuilt with NaN in the gaps, to be told apart where one is met.
-            flat = [rec.layers[name].h if name in rec.layers else math.nan
-                    for rec in records for name in names]
-        rows = np.fromiter(flat, np.float64, len(flat)).reshape(len(records), len(names)).T.copy()
+    contiguous row per layer. The first NaN raises: layer by layer if
+    ``layer_major``, else step by step."""
+    rows = columns.h.T.copy()
     nan = np.isnan(rows)
     if nan.any():
         if layer_major:
             i, t = np.argwhere(nan)[0]
         else:
             t, i = np.argwhere(nan.T)[0]
-        name = names[i]
-        if not isinstance(records, RunColumns) and name not in records[t].layers:
-            raise KeyError(name)
-        raise ValueError(f"layer {name}: missing tracker telemetry at step {steps[t]}")
+        raise ValueError(f"layer {columns.layers[i]}: missing tracker telemetry at step {t}")
     return rows
 
 
-def h_bounds_check(records, params: BoundParams) -> dict:
+def h_bounds_check(columns, params: BoundParams) -> dict:
     """Check the two-sided tracker envelope on one run.
 
-    Expects records from a twin-gradient run with tracker interval 1, so the
-    number of tracker updates behind a record at step t (0-based) is t + 1.
+    Expects the columns of a twin-gradient run with tracker interval 1, so
+    the number of tracker updates behind row t (step t, 0-based) is t + 1.
     Returns a report keyed by fixed field names; any upper-bound violation is
-    a hard failure of the deterministic envelope. A NaN or a missing layer
-    raises at the first one met layer by layer, each layer in step order.
+    a hard failure of the deterministic envelope. A NaN raises at the first
+    one met layer by layer, each layer in step order.
     """
-    names, steps = _layout(records)
+    total = _steps(columns)
+    names = columns.layers
     radii = params.profile.radii
     for name in names:
         if name not in radii:
@@ -169,15 +151,13 @@ def h_bounds_check(records, params: BoundParams) -> dict:
     beta2 = params.beta2
     c2 = params.c2
     t0 = tracker_burn_in(beta2)
-    total = len(steps)
-    # The steps past the burn-in and their fill 1 - beta2^(t+1), shared by
-    # every layer. The fills are Python powers: numpy's may round apart.
-    checked = [step + 1 >= t0 for step in steps]
-    fills = np.array([1.0 - beta2 ** (step + 1) for step, c in zip(steps, checked) if c],
-                     dtype=np.float64)
+    # The steps past the burn-in (step + 1 >= t0) and their fill
+    # 1 - beta2^(step+1), shared by every layer. The fills are Python
+    # powers: numpy's may round apart.
+    first = min(total, max(0, math.ceil(t0) - 1))
+    fills = np.array([1.0 - beta2 ** (step + 1) for step in range(first, total)], dtype=np.float64)
     n_checked = len(fills)
-    hs = _h_rows(records, names, steps, layer_major=True)
-    hs = hs[:, np.array(checked, dtype=bool)]
+    hs = _h_rows(columns, layer_major=True)[:, first:]
     upper_k = np.array([4.0 * radii[name][1] * radii[name][1] for name in names])[:, None]
     lower_k = np.array([radii[name][0] * radii[name][0] for name in names])[:, None]
     # Each bound in the order of its scalar form, one (layers x steps) array.
@@ -216,67 +196,45 @@ def compute_alpha_r(alpha: float, params: BoundParams) -> float:
     return min(first, second)
 
 
-def _ratio_values(records):
-    """Every ratio in step order, as a flat float64 array; how many each
-    step lists (records may list different layers); and ``locate(k)``, the
-    layer, step index and ratio of the k-th value."""
-    if isinstance(records, RunColumns):
-        names, ratios = records.layers, records.ratio.ravel()
-        counts = np.full(len(records.losses), len(names), np.intp)
-        return ratios, counts, lambda k: (names[k % len(names)], k // len(names), float(ratios[k]))
-    values = [stats.ratio for rec in records for stats in rec.layers.values()]
-    counts = np.fromiter(map(len, map(attrgetter("layers"), records)), np.intp, len(records))
-
-    def locate(k):
-        # The first record whose cumulative count passes the index.
-        ends = np.cumsum(counts)
-        t = int(np.searchsorted(ends, k, side="right"))
-        name, stats = list(records[t].layers.items())[k - int(ends[t] - counts[t])]
-        return name, t, stats.ratio
-
-    return np.fromiter(values, np.float64, len(values)), counts, locate
-
-
-def alpha_ratio_envelope(records, params: BoundParams, alpha: float,
+def alpha_ratio_envelope(columns, params: BoundParams, alpha: float,
                          layer_groups: dict[str, str] | None = None) -> dict:
     """Observed rate-ratio range against the computed lower envelope.
 
-    Asserts ratio <= 1 on every record (hard failure otherwise, at the first
+    Asserts ratio <= 1 on every row (hard failure otherwise, at the first
     NaN or ratio past 1 in step order) and reports the per-step min/max
     ratio plus the fraction of steps whose minimum falls below alpha_r.
     """
-    _, steps = _layout(records)
+    total = _steps(columns)
     alpha_r = compute_alpha_r(alpha, params)
-    ratios, counts, locate = _ratio_values(records)
-    with np.errstate(all="ignore"):
-        # Not <= 1 is a NaN or a ratio past 1.
-        ok = ratios <= 1.0
-        if not ok.all():
-            name, t, ratio = locate(int(ok.argmin()))
-            if math.isnan(ratio):
-                raise ValueError(f"layer {name}: missing ratio telemetry at step {steps[t]}")
-            raise ValueError(f"layer {name}: ratio {ratio} > 1 at step {steps[t]}")
-        below = 0
-        min_ratio, max_ratio = math.inf, -math.inf
-        if ratios.size:
-            # The first of equal extremes, as the builtins keep it: 0.0 and
-            # -0.0 are equal but print apart.
-            min_ratio = float(ratios[ratios.argmin()])
-            max_ratio = float(ratios[ratios.argmax()])
-            # A record without layers has minimum inf, never below alpha_r.
-            starts = (np.cumsum(counts) - counts)[counts > 0]
-            below = int(np.count_nonzero(np.minimum.reduceat(ratios, starts) < alpha_r))
+    ratio = columns.ratio
+    # Not <= 1 is a NaN or a ratio past 1.
+    bad = ~(ratio <= 1.0)
+    if bad.any():
+        t, i = np.argwhere(bad)[0]
+        name, value = columns.layers[i], float(ratio[t, i])
+        if math.isnan(value):
+            raise ValueError(f"layer {name}: missing ratio telemetry at step {t}")
+        raise ValueError(f"layer {name}: ratio {value} > 1 at step {t}")
+    below = 0
+    min_ratio, max_ratio = math.inf, -math.inf
+    if ratio.size:
+        # The first of equal extremes in step order, as the builtins keep
+        # it: 0.0 and -0.0 are equal but print apart.
+        flat = ratio.ravel()
+        min_ratio = float(flat[flat.argmin()])
+        max_ratio = float(flat[flat.argmax()])
+        below = int(np.count_nonzero(ratio.min(axis=1) < alpha_r))
     return {
         "alpha_r": alpha_r,
         "min_ratio": min_ratio,
         "max_ratio": max_ratio,
-        "steps": len(steps),
-        "frac_below_alpha_r": below / len(steps),
+        "steps": total,
+        "frac_below_alpha_r": below / total,
         "layer_groups": dict(layer_groups) if layer_groups else None,
     }
 
 
-def noise_range_estimate(records, beta2: float,
+def noise_range_estimate(columns, beta2: float,
                          layer_groups: dict[str, str] | None = None) -> dict:
     """Per-layer summary of the dual-norm gradient deltas seen by the tracker.
 
@@ -284,17 +242,15 @@ def noise_range_estimate(records, beta2: float,
     the deltas are reconstructed from consecutive H values through the update
     recursion (valid for interval-1 runs): d_t = sqrt(max(0, H_t -
     beta2*H_{t-1}) / (1 - beta2)), with H_{-1} = 0. Reports min/mean/max
-    per layer over the whole run, whose steps [0, last step + 1) the report
-    names as its window, plus group-aggregated means. A NaN or a missing
-    layer raises at the first one met step by step. ``beta2`` must be
-    below 1.
+    per layer over the whole run, whose steps [0, n) the report names as
+    its window, plus group-aggregated means. A NaN raises at the first one
+    met step by step. ``beta2`` must be below 1.
     """
-    names, steps = _layout(records)
-    if steps[0] < 0:
-        raise ValueError(f"step {steps[0]} < 0: the tracker recursion starts at step 0")
+    total = _steps(columns)
     if not beta2 < 1.0:
         raise ValueError(f"beta2 {beta2} is not below 1")
-    hs = _h_rows(records, names, steps, layer_major=False)
+    names = columns.layers
+    hs = _h_rows(columns, layer_major=False)
     prev = np.zeros_like(hs)
     prev[:, 1:] = hs[:, :-1]
     with np.errstate(all="ignore"):
@@ -311,4 +267,4 @@ def noise_range_estimate(records, beta2: float,
             acc.setdefault(layer_groups[name], []).append(row)
         # The mean over each group's layer-major concatenation.
         groups = {g: float(np.concatenate(rows).mean()) for g, rows in sorted(acc.items())}
-    return {"window": [0, steps[-1] + 1], "layers": per_layer, "group_means": groups}
+    return {"window": [0, total], "layers": per_layer, "group_means": groups}

@@ -69,6 +69,7 @@ __all__ = [
     "emit_metrics",
     "read_metrics",
     "read_columns",
+    "columns_of",
     "steps_to_threshold",
     "compare_runs",
     "read_run_config",
@@ -126,9 +127,10 @@ class RunRecord(NamedTuple):
 
 
 RunColumns = namedtuple("RunColumns", ("losses", "layers") + LayerStats._fields)
-RunColumns.__doc__ = """One seed CSV as columns: the per-step losses (a list of floats), the
-layer names in row order, and one (steps x layers) float64 array per
-telemetry column, named after the :class:`LayerStats` fields."""
+RunColumns.__doc__ = """One seed's telemetry as columns: the per-step losses (a list of
+floats), the layer names in row order, and one (steps x layers) float64
+array per telemetry column, named after the :class:`LayerStats` fields.
+Row t is step t, and every step lists every layer."""
 
 
 # ----------------------------------------------------------------------------
@@ -582,8 +584,14 @@ def read_columns(path, layers, max_steps) -> RunColumns:
     columns = _emitted_columns(_csv_lines(path), layers, max_steps)
     if columns is not None:
         return columns
-    records = read_metrics(path, layers, max_steps)
-    values = np.array([list(rec.layers.values()) for rec in records], dtype=np.float64)
+    return columns_of(read_metrics(path, layers, max_steps), layers)
+
+
+def columns_of(records, layers) -> RunColumns:
+    """The :class:`RunColumns` of a record list, each step's rows taken in
+    ``layers`` order: the one conversion from records to columns."""
+    layers = tuple(layers)
+    values = np.array([[rec.layers[name] for name in layers] for rec in records], dtype=np.float64)
     values = values.reshape(len(records), len(layers), len(LayerStats._fields)).transpose(2, 0, 1)
     return RunColumns([rec.loss for rec in records], layers, *np.ascontiguousarray(values))
 
@@ -612,16 +620,21 @@ def _emitted_columns(lines, layers, max_steps) -> RunColumns | None:
     return RunColumns(losses, layers, *arrays) if all(map(math.isfinite, losses)) else None
 
 
-def _csv_lines(path) -> list[str]:
-    """The lines of a telemetry CSV, without the newline that ends the last.
-    Bytes that are not UTF-8 give a ``ValueError`` naming the file."""
-    # Split on LF alone, the only line break the writer emits: a layer name
-    # may hold other characters that str.splitlines() would break at.
+def _read_text(path, newline=None) -> str:
+    """The text of a UTF-8 file. Bytes that are not UTF-8 give a
+    ``ValueError`` naming the file."""
     try:
-        with open(path, "r", encoding="utf-8", newline="\n") as f:
-            lines = f.read().split("\n")
+        with open(path, "r", encoding="utf-8", newline=newline) as f:
+            return f.read()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def _csv_lines(path) -> list[str]:
+    """The lines of a telemetry CSV, without the newline that ends the last."""
+    # Split on LF alone, the only line break the writer emits: a layer name
+    # may hold other characters that str.splitlines() would break at.
+    lines = _read_text(path, newline="\n").split("\n")
     if lines[-1] == "":
         lines.pop()
     return lines
@@ -703,11 +716,7 @@ def read_run_config(path: str) -> ExperimentConfig:
     ``ConfigError`` keeps the field path and names the file.
     """
     config_path = os.path.join(path, "config.json")
-    try:
-        with open(config_path, "r", encoding="utf-8") as f:
-            text = f.read()
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{config_path}: {exc}") from None
+    text = _read_text(config_path)
     try:
         cfg = parse_config(text)
         field = _echo_mismatch(json.loads(text), canonical_config(cfg))

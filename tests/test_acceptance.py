@@ -20,6 +20,7 @@ from lanton.diagnostics import (
 )
 from lanton.harness import (
     build_task,
+    columns_of,
     execute_run,
     parse_config,
     run_experiment,
@@ -151,8 +152,9 @@ def test_criterion_05_deterministic_upper_bound(preset_runs):
                          beta2=cfg.lanton.beta2, profile=task.noise)
     upper = 0
     lower_rates = []
+    names = [layer.name for layer in task.layers]
     for records in runs:
-        report = h_bounds_check(records, params)
+        report = h_bounds_check(columns_of(records, names), params)
         upper += sum(l["upper_violations"] for l in report["layers"])
         lower_rates.extend(l["lower_violation_rate"] for l in report["layers"])
     assert upper == 0
@@ -171,8 +173,9 @@ def test_criterion_06_ratio_envelope(preset_runs):
     alpha_r = compute_alpha_r(cfg.lanton.alpha, params)
     below = 0
     min_ratio = math.inf
+    names = [layer.name for layer in task.layers]
     for records in runs:
-        report = alpha_ratio_envelope(records, params, cfg.lanton.alpha)
+        report = alpha_ratio_envelope(columns_of(records, names), params, cfg.lanton.alpha)
         min_ratio = min(min_ratio, report["min_ratio"])
         if report["min_ratio"] < alpha_r:
             below += 1

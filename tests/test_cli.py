@@ -463,6 +463,33 @@ def test_readers_name_a_file_that_is_not_utf8(tmp_path, capsys, name, command):
     assert err["message"].startswith(f"{path}: ") and "can't decode byte 0xff" in err["message"]
 
 
+@pytest.mark.parametrize("command,name", [
+    pytest.param("run", "config.json", id="run_config"),
+    pytest.param("sweep", "config.json", id="sweep_config"),
+    pytest.param("sweep", "grid.json", id="sweep_grid"),
+])
+def test_run_and_sweep_name_a_file_that_is_not_utf8(tmp_path, capsys, command, name):
+    # One byte of the config or of the grid set to 0xff: the error names
+    # the file, and nothing is run.
+    config = _write_config(tmp_path, total_steps=5)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"optimizer.eta_max": [5e-3, 1e-3]}))
+    path = str(tmp_path / name)
+    with open(path, "rb") as f:
+        data = bytearray(f.read())
+    data[len(data) // 2] = 0xFF
+    with open(path, "wb") as f:
+        f.write(data)
+    argv = ["run", config] if command == "run" else ["sweep", config, "--grid", str(grid)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith(f"{path}: ") and "can't decode byte 0xff" in err["message"]
+    assert not (tmp_path / "run").exists()
+
+
 def test_diverging_seed_prints_no_warning(tmp_path):
     # The loss overflows on its way to inf: the seed ends at step 30 and
     # stderr stays empty (it is kept for one JSON error object).

@@ -23,6 +23,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import diagnostics_reference
+from lanton import diagnostics
 from lanton.cli import main
 from lanton.diagnostics import BoundParams, alpha_ratio_envelope, h_bounds_check, noise_range_estimate
 from lanton.harness import (
@@ -30,6 +32,7 @@ from lanton.harness import (
     RunRecord,
     build_task,
     canonical_config,
+    columns_of,
     emit_metrics,
     parse_config,
     read_columns,
@@ -420,23 +423,13 @@ def _column_bits(columns):
              for column in columns[2:]])
 
 
-def _record_bits(records, layers):
-    """The bits read_columns must give for ``read_metrics``' records."""
-    shape = (len(records), len(layers))
-    return ([r.loss.hex() for r in records], tuple(layers),
-            [("<f8", shape, np.array([[getattr(r.layers[name], field) for name in layers]
-                                      for r in records], dtype=np.float64).reshape(shape)
-              .view(np.int64).tolist())
-             for field in LayerStats._fields])
-
-
 def _assert_same_read(path, layers, max_steps):
     records = _read(read_metrics, path, layers, max_steps)
     columns = _read(read_columns, path, layers, max_steps)
     if isinstance(records, tuple):
         assert columns == records
     else:
-        assert _column_bits(columns) == _record_bits(records, layers)
+        assert _column_bits(columns) == _column_bits(columns_of(records, layers))
     return records, columns
 
 
@@ -506,12 +499,13 @@ def test_read_columns_gives_read_metrics_values_on_corrupted_csv(option_two_run_
     _assert_same_read(str(path), _CORRUPT_LAYERS, _STEPS)
 
 
-def _reports(records, params, alpha, groups):
-    """Each diagnostic's report bytes on ``records``, or what it raised."""
+def _reports(module, stream, params, alpha, groups):
+    """Each diagnostic of ``module`` on ``stream``: its report bytes, or
+    what it raised."""
     calls = (
-        lambda: h_bounds_check(records, params),
-        lambda: alpha_ratio_envelope(records, params, alpha, layer_groups=groups),
-        lambda: noise_range_estimate(records, params.beta2, layer_groups=groups),
+        lambda: module.h_bounds_check(stream, params),
+        lambda: module.alpha_ratio_envelope(stream, params, alpha, layer_groups=groups),
+        lambda: module.noise_range_estimate(stream, params.beta2, layer_groups=groups),
     )
     out = []
     for call in calls:
@@ -529,7 +523,8 @@ _ODD_VALUE = st.sampled_from(["nan", "inf", "-inf", "-0.0", "0", "5e-324", "1.5"
 @given(st.data())
 def test_diagnostics_give_the_same_report_from_columns(option_two_run_dirs, tmp_path_factory, data):
     # A run's CSV with some telemetry fields set to NaN, infinities, signed
-    # zeros or ratios past 1, read both ways.
+    # zeros or ratios past 1, read both ways: lanton's diagnostics on the
+    # columns give what the record walks give on the records.
     a, _ = option_two_run_dirs
     with open(os.path.join(a, "seed_0.csv"), encoding="utf-8") as f:
         lines = f.read().splitlines()
@@ -548,21 +543,22 @@ def test_diagnostics_give_the_same_report_from_columns(option_two_run_dirs, tmp_
                          profile=NoiseProfile(radii))
     alpha = data.draw(st.sampled_from([0.05, 1.0, 1e3]))
     groups = data.draw(st.one_of(st.none(), st.just({name: "hidden" for name in _CORRUPT_LAYERS})))
-    assert _reports(columns, params, alpha, groups) == _reports(records, params, alpha, groups)
+    assert (_reports(diagnostics, columns, params, alpha, groups)
+            == _reports(diagnostics_reference, records, params, alpha, groups))
 
 
-@pytest.mark.parametrize("check,bad,error,message", [
-    case for case in _TWO_BAD_ROWS if None not in case.values[1].values()])
+@pytest.mark.parametrize("check,bad,error,message", _TWO_BAD_ROWS)
 def test_two_bad_rows_named_alike_from_columns(tmp_path, check, bad, error, message):
     # The NaN-H and ratio past 1 streams of the diagnostics' tests, written
-    # to a CSV: the columns raise the same error as the file's records.
+    # to a CSV: lanton on the columns raises what the record walks raise on
+    # the file's records.
     path = str(tmp_path / "seed_0.csv")
     emit_metrics(_stream_with(bad), path)
     records, columns = _assert_same_read(path, ["a", "b", "c"], 6)
     profile = NoiseProfile({name: (0.0, 1.0) for name in ("a", "b", "c")})
     params = BoundParams(c1=0.1, c2=1.0, delta=0.05, beta2=0.9, profile=profile)
-    reports = _reports(columns, params, 0.05, None)
-    assert reports == _reports(records, params, 0.05, None)
+    reports = _reports(diagnostics, columns, params, 0.05, None)
+    assert reports == _reports(diagnostics_reference, records, params, 0.05, None)
     index = [h_bounds_check, alpha_ratio_envelope, noise_range_estimate].index(check)
     assert reports[index] == (error.__name__, message)
 
