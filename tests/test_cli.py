@@ -407,6 +407,11 @@ def _field_of_step_5(row, column, text):
     return _row_of_step_5(row, lambda parts: parts[:column] + [text] + parts[column + 1:])
 
 
+def _step_5_as_05(corrupt):
+    """``corrupt``, then every row of step 5 written with the step text ``05``."""
+    return lambda lines: ["0" + l if l.startswith("5,") else l for l in corrupt(lines)]
+
+
 @pytest.mark.parametrize("corrupt,message", [
     pytest.param(_drop_qk_row_of_step_5, "step 5 lists layers", id="layer_missing"),
     pytest.param(_repeat_first_row_of_step_5, "step 5: layer 'mlp' listed twice", id="layer_twice"),
@@ -425,6 +430,13 @@ def _field_of_step_5(row, column, text):
                  id="h_not_a_number"),
     pytest.param(_field_of_step_5(1, 6, "banana"), "step 5: dual_grad_norm 'banana' is not a number",
                  id="dual_grad_norm_not_a_number"),
+    # A parse error names the step as the row writes it.
+    pytest.param(_step_5_as_05(_field_of_step_5(0, 1, "banana")), "step 05: loss 'banana' is not a number",
+                 id="step_05_loss_not_a_number"),
+    pytest.param(_step_5_as_05(_field_of_step_5(1, 3, "banana")), "step 05: eta_eff 'banana' is not a number",
+                 id="step_05_eta_eff_not_a_number"),
+    pytest.param(_step_5_as_05(_field_of_step_5(1, 5, "banana")), "step 05: H 'banana' is not a number",
+                 id="step_05_h_not_a_number"),
 ])
 def test_readers_reject_inconsistent_csv(tmp_path, capsys, corrupt, message):
     a, b = _two_runs(tmp_path)
