@@ -27,11 +27,10 @@ from .harness import (
     build_task,  # not called here; perfbench/tracer.py patches lanton.cli.build_task
     compare_runs,
     parse_config,
-    read_columns,
     read_metrics,  # not called here; perfbench/tracer.py patches lanton.cli.read_metrics
     read_run_config,
+    read_seeds,
     run_experiment,
-    seed_csv,
     task_layers,
     _load_document,
     _read_text,
@@ -144,8 +143,7 @@ def _cmd_diagnose(args) -> int:
     interval_ok = (cfg.optimizer_kind == "lanton" and opt.noise_option == "II"
                    and opt.noise_update_interval == 1 and cfg.telemetry.h)
     per_seed = []
-    for seed in cfg.seeds:
-        columns = read_columns(seed_csv(args.dir, seed), list(layer_groups), cfg.total_steps)
+    for seed, columns in read_seeds(args.dir, cfg):
         # A seed that aborted at step 0 wrote no rows: it gets null reports.
         rows = bool(columns.losses)
         entry = {"seed": seed, "alpha_ratio": None}
@@ -192,7 +190,8 @@ def _cmd_sweep(args) -> int:
     for key in keys:
         if not isinstance(grid[key], list) or not grid[key]:
             raise ConfigError(f"--grid {key}", "expected a non-empty list of values")
-    results = []
+    # Every combination is checked before the first one runs.
+    combos = []
     for combo in itertools.product(*(grid[k] for k in keys)):
         raw = json.loads(json.dumps(base_raw))
         label_parts = []
@@ -200,9 +199,10 @@ def _cmd_sweep(args) -> int:
             _set_path(raw, key, value)
             label_parts.append(f"{key.split('.')[-1]}={value}")
         label = "_".join(label_parts)
-        cfg = parse_config(json.dumps(raw))
-        cfg = _apply_overrides(cfg, args)
-        cfg = replace(cfg, output_path=os.path.join(cfg.output_path, label))
+        cfg = _apply_overrides(parse_config(json.dumps(raw)), args)
+        combos.append((label, replace(cfg, output_path=os.path.join(cfg.output_path, label))))
+    results = []
+    for label, cfg in combos:
         summary, _ = run_experiment(cfg, workers=args.workers)
         results.append({"label": label, "output_path": cfg.output_path,
                         "summary": summary})

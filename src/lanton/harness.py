@@ -11,6 +11,7 @@ seed and no wall-clock data reaches the files.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -73,7 +74,7 @@ __all__ = [
     "steps_to_threshold",
     "compare_runs",
     "read_run_config",
-    "load_run_dir",
+    "read_seeds",
     "seed_csv",
     "CSV_HEADER",
 ]
@@ -114,11 +115,18 @@ class ExperimentConfig:
         # replace() meet the same rule.
         if not self.output_path:
             raise ConfigError("output_path", "expected a non-empty path")
+        try:
+            ok = b"\0" not in os.fsencode(self.output_path)
+        except UnicodeEncodeError:
+            ok = False
+        if not ok:
+            raise ConfigError("output_path", f"{self.output_path!r}: not a path the file system can take")
 
 
 class RunRecord(NamedTuple):
-    """One step of telemetry: loss plus per-layer stats. A named tuple, like
-    :class:`LayerStats`, so the reader builds one cheaply per step."""
+    """One step of telemetry: loss plus per-layer stats, as ``execute_run``
+    returns it and ``read_metrics`` reads it back. A named tuple, like
+    :class:`LayerStats`."""
 
     step: int
     loss: float
@@ -213,6 +221,10 @@ def _parse_task(section, path: str = "task") -> dict:
             out["spread"] = check_number(section.get("spread", 100.0), f"{path}.spread", lo=1.0)
             out["sigma_hi_base"] = check_number(section.get("sigma_hi_base", 0.003), f"{path}.sigma_hi_base", lo=0.0)
             out["lo_frac"] = check_number(section.get("lo_frac", 1.0 / 3.0), f"{path}.lo_frac", lo=0.0, hi=1.0)
+            # The top layer's upper noise radius is sigma_hi_base * spread.
+            if not math.isfinite(out["sigma_hi_base"] * out["spread"]):
+                raise ConfigError(f"{path}.sigma_hi_base", f"{out['sigma_hi_base']} times spread "
+                                  f"{out['spread']}, the top noise radius, is not finite")
         return out
 
     _check_keys(section, {"kind", "seed", "layers"}, path)
@@ -230,6 +242,10 @@ def _parse_task(section, path: str = "task") -> dict:
         name = check_string(_require(layer, "name", lp), f"{lp}.name")
         if any(c in name for c in CSV_UNSAFE):
             raise ConfigError(f"{lp}.name", f"{name!r}: a comma or line break would break the CSV")
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ConfigError(f"{lp}.name", f"{name!r}: UTF-8 cannot encode it, so the CSV cannot hold it") from None
         if name in seen:
             raise ConfigError(f"{lp}.name", f"duplicate layer name {name!r}")
         seen.add(name)
@@ -521,40 +537,41 @@ def read_metrics(path, layers=None, max_steps=None) -> list[RunRecord]:
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"{path}: missing or unexpected header")
     records: list[RunRecord] = []
-    step_text = loss_text = problem = None
-    # In the loop only the unpacking, int() and float() raise; a row that
-    # breaks a rule between rows sets ``problem`` and ends the loop.
-    try:
-        for line in lines[1:]:
-            row_step, row_loss, name, eta_eff, ratio, h, dual_grad_norm = line.split(",")
-            if row_step != step_text:
+    step_text = loss_text = None
+    for line in lines[1:]:
+        parts = line.split(",")
+        if len(parts) != _ROW_FIELDS:
+            raise ValueError(f"{path}: malformed row {line!r}")
+        row_step, row_loss, name, *values = parts
+        if row_step != step_text:
+            try:
                 step = int(row_step)
-                if step != len(records):
-                    problem = f"found step {step} where step {len(records)} was expected"
-                    break
+            except ValueError:
+                raise ValueError(f"{path}: step {row_step!r} is not an integer") from None
+            if step != len(records):
+                raise ValueError(f"{path}: found step {step} where step {len(records)} was expected")
+            try:
                 loss = float(row_loss)
-                if not math.isfinite(loss):
-                    problem = f"step {step}: loss {row_loss!r} is not finite"
-                    break
-                step_text, loss_text, stats = row_step, row_loss, {}
-                records.append(RunRecord(step, loss, stats))
-            elif row_loss != loss_text:
-                problem = (f"step {step}: loss {row_loss!r} differs from "
-                           f"the step's first row ({loss_text!r})")
-                break
-            elif name in stats:
-                problem = f"step {step}: layer {name!r} listed twice"
-                break
-            # tuple.__new__ skips the named tuple's own __new__ frame: the
-            # same object, built once per row.
-            stats[name] = tuple.__new__(LayerStats, (float(eta_eff), float(ratio), float(h),
-                                                     float(dual_grad_norm)))
-    except ValueError:
-        problem = _unreadable_row(line)
-        if problem is None:
-            raise
-    if problem is not None:
-        raise ValueError(f"{path}: {problem}")
+            except ValueError:
+                raise ValueError(f"{path}: step {row_step}: loss {row_loss!r} is not a number") from None
+            if not math.isfinite(loss):
+                raise ValueError(f"{path}: step {step}: loss {row_loss!r} is not finite")
+            step_text, loss_text, stats = row_step, row_loss, {}
+            records.append(RunRecord(step, loss, stats))
+        elif row_loss != loss_text:
+            raise ValueError(f"{path}: step {step}: loss {row_loss!r} differs from "
+                             f"the step's first row ({loss_text!r})")
+        elif name in stats:
+            raise ValueError(f"{path}: step {step}: layer {name!r} listed twice")
+        try:
+            stats[name] = LayerStats._make(map(float, values))
+        except ValueError:
+            # Name the first telemetry field, in column order, that does not parse.
+            for column, text in zip(CSV_HEADER.split(",")[3:], values):
+                try:
+                    float(text)
+                except ValueError:
+                    raise ValueError(f"{path}: step {row_step}: {column} {text!r} is not a number") from None
     if max_steps is not None and len(records) > max_steps:
         raise ValueError(f"{path}: found step {max_steps} in a run of {max_steps} steps")
     order = list(records[0].layers) if records else []
@@ -640,21 +657,6 @@ def _csv_lines(path) -> list[str]:
     return lines
 
 
-def _unreadable_row(line: str) -> str | None:
-    """Why ``read_metrics`` cannot take a row: a field count other than the
-    header's, or the first numeric field, in column order, that does not parse."""
-    columns, parts = CSV_HEADER.split(","), line.split(",")
-    if len(parts) != len(columns):
-        return f"malformed row {line!r}"
-    for column, text in zip(columns, parts):
-        try:
-            {"step": int, "layer": str}.get(column, float)(text)
-        except ValueError:
-            return (f"step {text!r} is not an integer" if column == "step"
-                    else f"step {parts[0]}: {column} {text!r} is not a number")
-    return None
-
-
 def _write_text_atomic(path: str, text: str) -> None:
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8", newline="\n") as f:
@@ -727,12 +729,14 @@ def read_run_config(path: str) -> ExperimentConfig:
     return cfg
 
 
-def load_run_dir(path: str):
-    """The typed config and the per-seed losses of a run directory."""
-    cfg = read_run_config(path)
+def read_seeds(path: str, cfg: ExperimentConfig):
+    """The ``(seed, RunColumns)`` pairs of the run directory ``path`` whose
+    config is ``cfg``, in the order of ``cfg.seeds``. Each seed CSV is held to
+    the task's layers and the run's step count, and is read only when the
+    loop reaches it."""
     names = [spec.name for spec, _ in task_layers(cfg.task_section)]
-    return cfg, {seed: read_columns(seed_csv(path, seed), names, cfg.total_steps).losses
-                 for seed in cfg.seeds}
+    for seed in cfg.seeds:
+        yield seed, read_columns(seed_csv(path, seed), names, cfg.total_steps)
 
 
 def compare_runs(paths, threshold: float, smoothing: str = "trailing") -> dict:
@@ -746,22 +750,23 @@ def compare_runs(paths, threshold: float, smoothing: str = "trailing") -> dict:
     """
     if len(paths) < 2:
         raise ValueError("need at least two run directories")
-    runs = []
+    runs, medians = [], []
     signature = None
     for path in paths:
-        cfg, losses_by_seed = load_run_dir(path)
+        cfg = read_run_config(path)
         if signature is None:
             signature = task_signature(cfg.task_section)
         elif task_signature(cfg.task_section) != signature:
             raise ValueError(f"{path}: task signature does not match {paths[0]}")
-        steps = []
-        finals = []
-        for losses in losses_by_seed.values():
+        steps, finals = [], []
+        for _, columns in read_seeds(path, cfg):
+            losses = columns.losses
             s = steps_to_threshold(losses, threshold, smoothing=smoothing)
             steps.append(math.inf if s is None else s)
             if losses:
                 finals.append(losses[-1])
         med = statistics.median(steps)
+        medians.append(med)
         q25 = q50 = q75 = None
         if finals:
             q25, q50, q75 = (float(q) for q in np.quantile(np.asarray(finals), [0.25, 0.5, 0.75]))
@@ -772,22 +777,12 @@ def compare_runs(paths, threshold: float, smoothing: str = "trailing") -> dict:
             "per_seed_steps_to_threshold": [None if math.isinf(s) else int(s) for s in steps],
             "median_steps_to_threshold": None if math.isinf(med) else med,
             "final_loss_quantiles": {"q25": q25, "q50": q50, "q75": q75},
-            "_median": med,
         })
     speedups = []
-    for i, cand in enumerate(runs):
-        for j, base in enumerate(runs):
-            if i == j:
-                continue
-            if math.isinf(cand["_median"]) or math.isinf(base["_median"]) or cand["_median"] == 0:
-                ratio = None
-            else:
-                ratio = base["_median"] / cand["_median"]
-            speedups.append({
-                "candidate": cand["path"], "baseline": base["path"], "speedup": ratio,
-            })
-    for run in runs:
-        run.pop("_median")
+    for (cand, cand_med), (base, base_med) in itertools.permutations(zip(runs, medians), 2):
+        ratio = (None if math.isinf(cand_med) or math.isinf(base_med) or cand_med == 0
+                 else base_med / cand_med)
+        speedups.append({"candidate": cand["path"], "baseline": base["path"], "speedup": ratio})
     return {
         "threshold": threshold,
         "smoothing": smoothing,

@@ -555,6 +555,55 @@ def test_empty_output_path_named(tmp_path, capsys, argv, overrides):
     assert not (tmp_path / "run").exists()
 
 
+_SURROGATE_LAYER = {"name": "a\ud800", "shape": [2, 3], "group": "hidden"}
+
+
+@pytest.mark.parametrize("argv,overrides,field", [
+    pytest.param(["run", "config.json"], {"task": {"kind": "quadratic", "layers": [_SURROGATE_LAYER]}},
+                 "task.layers[0].name", id="layer_name_lone_surrogate"),
+    pytest.param(["run", "config.json"], {"output_path": "run\ud800"}, "output_path",
+                 id="output_path_lone_surrogate"),
+    pytest.param(["run", "config.json"], {"output_path": "run\x00"}, "output_path", id="output_path_nul"),
+    pytest.param(["run", "config.json", "--out", "run\x00"], {}, "output_path", id="out_flag_nul"),
+    pytest.param(["sweep", "config.json", "--grid", "grid.json", "--out", "run\ud800"], {}, "output_path",
+                 id="sweep_out_flag_lone_surrogate"),
+    pytest.param(["run", "config.json"],
+                 {"task": {"kind": "quadratic", "preset": "heterogeneous", "spread": 1e308, "sigma_hi_base": 10.0}},
+                 "task.sigma_hi_base", id="top_noise_radius_overflows"),
+])
+def test_config_the_run_cannot_write_named(tmp_path, capsys, monkeypatch, argv, overrides, field):
+    # A config error naming the field, before any file is written.
+    monkeypatch.chdir(tmp_path)
+    _write_config(tmp_path, total_steps=5, **{"output_path": "run", **overrides})
+    (tmp_path / "grid.json").write_text(json.dumps({"optimizer.eta_max": [1e-3]}))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert (err["error"], err["field"]) == ("config", field)
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "grid.json"]
+
+
+def test_output_path_from_argv_bytes_that_are_not_utf8(tmp_path, capsys, monkeypatch):
+    # Python decodes such argv bytes to lone surrogates that os.fsencode
+    # turns back into the same bytes: the path is valid.
+    monkeypatch.chdir(tmp_path)
+    out = os.fsdecode(b"run\xff")
+    assert main(["run", _write_config(tmp_path, total_steps=5), "--out", out]) == 0
+    assert os.path.isfile(os.path.join(b"run\xff", b"seed_0.csv"))
+
+
+def test_sweep_checks_every_combination_before_the_first_run(tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"task.shape": [[2, 2], [2, 2.0]]}))
+    assert main(["sweep", _write_config(tmp_path, total_steps=5), "--grid", str(grid)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert (err["error"], err["field"]) == ("config", "task.shape[1]")
+    assert not (tmp_path / "run").exists()
+
+
 def _rename_layer5(lines):
     return [l.replace(",layer5,", ",zz,") for l in lines]
 

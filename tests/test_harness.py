@@ -18,10 +18,10 @@ from lanton.harness import (
     compare_runs,
     emit_metrics,
     execute_run,
-    load_run_dir,
     parse_config,
     read_metrics,
     read_run_config,
+    read_seeds,
     run_experiment,
     steps_to_threshold,
     task_layers,
@@ -442,10 +442,30 @@ class TestCompareRuns:
     def test_reads_typed_config_without_summary(self, tmp_path):
         a = str(tmp_path / "a")
         _fabricate_run(a, {3: [1.0], 4: [2.0]}, kind="sgd")
-        cfg, losses = load_run_dir(a)
-        assert cfg == read_run_config(a) and cfg.optimizer_kind == "sgd"
-        assert losses == {3: [1.0], 4: [2.0]}
+        cfg = read_run_config(a)
+        assert cfg.optimizer_kind == "sgd"
+        assert [(seed, columns.losses) for seed, columns in read_seeds(a, cfg)] == [(3, [1.0]), (4, [2.0])]
         assert not os.path.exists(os.path.join(a, "summary.json"))
+
+    def test_read_seeds_reads_each_csv_when_the_loop_reaches_it(self, tmp_path):
+        a = str(tmp_path / "a")
+        _fabricate_run(a, {3: [1.0], 4: [2.0]})
+        os.remove(os.path.join(a, "seed_4.csv"))
+        pairs = read_seeds(a, read_run_config(a))
+        assert next(pairs)[0] == 3
+        with pytest.raises(FileNotFoundError, match="seed_4.csv"):
+            next(pairs)
+
+    def test_signature_checked_before_the_csvs(self, tmp_path):
+        # A run with another task and an unreadable CSV: the signature error.
+        a = str(tmp_path / "a")
+        b = str(tmp_path / "b")
+        _fabricate_run(a, {0: [1.0]}, task_seed=1)
+        _fabricate_run(b, {0: [1.0]}, task_seed=2)
+        with open(os.path.join(b, "seed_0.csv"), "w") as f:
+            f.write("nope\n")
+        with pytest.raises(ValueError, match="task signature does not match"):
+            compare_runs([a, b], threshold=0.5)
 
     @pytest.mark.parametrize("key", ["beta2", "alpha"])
     def test_run_config_missing_key_named(self, tmp_path, key):
