@@ -9,7 +9,6 @@ import argparse
 import functools
 import itertools
 import json
-import math
 import os
 import sys
 from dataclasses import replace
@@ -32,6 +31,7 @@ from .harness import (
     read_seeds,
     run_experiment,
     task_layers,
+    _json_text,
     _load_document,
     _read_text,
     _write_text_atomic,
@@ -102,7 +102,7 @@ def _cmd_run(args) -> int:
     check_integer(args.workers, "--workers", lo=1)
     cfg = _load_config(args.config, args)
     summary, _ = run_experiment(cfg, workers=args.workers)
-    print(json.dumps(summary, sort_keys=True, indent=2))
+    print(_json_text(summary))
     return 0
 
 
@@ -110,19 +110,8 @@ def _cmd_compare(args) -> int:
     threshold = check_number(args.threshold, "--threshold")
     report = compare_runs(args.dirs, threshold,
                           smoothing="raw" if args.raw_crossing else "trailing")
-    print(json.dumps(report, sort_keys=True, indent=2))
+    print(_json_text(report))
     return 0
-
-
-def _finite_or_null(obj):
-    """``obj`` with every non-finite float, which JSON cannot write, as None."""
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {k: _finite_or_null(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_finite_or_null(v) for v in obj]
-    return obj
 
 
 def _cmd_diagnose(args) -> int:
@@ -162,9 +151,8 @@ def _cmd_diagnose(args) -> int:
         "tracker_bounds_applicable": interval_ok,
         "per_seed": per_seed,
     }
-    # Telemetry may hold inf or NaN; allow_nan=False turns one missed here
-    # into an error rather than a token that is not JSON.
-    text = json.dumps(_finite_or_null(report), sort_keys=True, indent=2, allow_nan=False)
+    # Telemetry may hold inf or NaN, which the text writes as null.
+    text = _json_text(report)
     _write_text_atomic(os.path.join(args.dir, "diagnostics.json"), text + "\n")
     print(text)
     return 0
@@ -206,7 +194,7 @@ def _cmd_sweep(args) -> int:
         summary, _ = run_experiment(cfg, workers=args.workers)
         results.append({"label": label, "output_path": cfg.output_path,
                         "summary": summary})
-    print(json.dumps({"sweep": results}, sort_keys=True, indent=2))
+    print(_json_text({"sweep": results}))
     return 0
 
 

@@ -458,28 +458,26 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1):
 
     Seeds run independently (optionally in parallel); a NaN/Inf loss or
     gradient aborts that seed's run at the offending step and the remaining
-    seeds continue.
+    seeds continue. ``config.json`` is written before the first seed runs,
+    each ``seed_<s>.csv`` as soon as that seed and every seed before it in
+    ``cfg.seeds`` have ended, and ``summary.json`` after the last. An
+    exception from a seed reaches the caller with the CSVs of the seeds
+    before it written and no ``summary.json``.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     task = build_task(cfg.task_section)
     outdir = cfg.output_path
     os.makedirs(outdir, exist_ok=True)
-    _write_text_atomic(
-        os.path.join(outdir, "config.json"),
-        json.dumps(canonical_config(cfg), sort_keys=True, indent=2) + "\n",
-    )
-    if workers == 1:
-        results = [execute_run(cfg, seed, task=task) for seed in cfg.seeds]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda s: execute_run(cfg, s, task=task), cfg.seeds))
-    records_by_seed = {}
-    per_seed = []
-    for seed, (records, summary) in zip(cfg.seeds, results):
-        emit_metrics(records, seed_csv(outdir, seed))
-        records_by_seed[seed] = records
-        per_seed.append(summary)
+    _write_text_atomic(os.path.join(outdir, "config.json"), _json_text(canonical_config(cfg)) + "\n")
+    records_by_seed, per_seed = {}, []
+    # A pool starts no thread before its first task, so a serial run starts none.
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = (map if workers == 1 else pool.map)(lambda s: execute_run(cfg, s, task=task), cfg.seeds)
+        for seed, (records, summary) in zip(cfg.seeds, results):
+            emit_metrics(records, seed_csv(outdir, seed))
+            records_by_seed[seed] = records
+            per_seed.append(summary)
     summary = {
         "task_signature": task_signature(cfg.task_section),
         "optimizer": {"kind": cfg.optimizer_kind, "mode": cfg.mode},
@@ -488,10 +486,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1):
         "loss_threshold": cfg.loss_threshold,
         "per_seed": per_seed,
     }
-    _write_text_atomic(
-        os.path.join(outdir, "summary.json"),
-        json.dumps(summary, sort_keys=True, indent=2) + "\n",
-    )
+    _write_text_atomic(os.path.join(outdir, "summary.json"), _json_text(summary) + "\n")
     return summary, records_by_seed
 
 
@@ -655,6 +650,20 @@ def _csv_lines(path) -> list[str]:
     if lines[-1] == "":
         lines.pop()
     return lines
+
+
+def _json_text(obj) -> str:
+    """The JSON text of a document lanton writes or prints: sorted keys, a
+    two-space indent, and each non-finite float, which JSON cannot write, as null."""
+    def finite(o):
+        if isinstance(o, float):
+            return o if math.isfinite(o) else None
+        if isinstance(o, dict):
+            return {k: finite(v) for k, v in o.items()}
+        if isinstance(o, (list, tuple)):
+            return [finite(v) for v in o]
+        return o
+    return json.dumps(finite(obj), sort_keys=True, indent=2, allow_nan=False)
 
 
 def _write_text_atomic(path: str, text: str) -> None:
