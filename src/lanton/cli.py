@@ -45,13 +45,14 @@ __all__ = ["main"]
 def _build_parser() -> argparse.ArgumentParser:
     # Built once per process, on the first call rather than at import;
     # parse_args leaves the parser as it found it, so every call shares it.
-    # Global flags accepted before or after the subcommand. SUPPRESS keeps a
-    # subparser from overwriting a value the top-level parser already set.
+    # Global flags of run and sweep, accepted before or after the subcommand.
+    # SUPPRESS keeps a subparser from overwriting a value the top-level
+    # parser already set; main rejects one given before compare or diagnose.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed-override", type=str, default=argparse.SUPPRESS,
-                        help="comma-separated seeds replacing the config's list")
+                        help="comma-separated seeds replacing the config's list (run, sweep)")
     common.add_argument("--out", type=str, default=argparse.SUPPRESS,
-                        help="override the config's output_path")
+                        help="override the config's output_path (run, sweep)")
 
     parser = argparse.ArgumentParser(prog="lanton", description=__doc__, parents=[common])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -61,14 +62,13 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--workers", type=int, default=1,
                      help="seeds executed in parallel (results do not depend on this)")
 
-    cmp_ = sub.add_parser("compare", help="compare finished run directories", parents=[common])
+    cmp_ = sub.add_parser("compare", help="compare finished run directories")
     cmp_.add_argument("dirs", nargs="+", help="run directories")
     cmp_.add_argument("--threshold", type=float, required=True)
     cmp_.add_argument("--raw-crossing", action="store_true",
                       help="use raw losses instead of the trailing-mean smoothing")
 
-    diag = sub.add_parser("diagnose", help="tracker and ratio bound reports for a run directory",
-                          parents=[common])
+    diag = sub.add_parser("diagnose", help="tracker and ratio bound reports for a run directory")
     diag.add_argument("dir")
     diag.add_argument("--delta", type=float, default=0.05)
 
@@ -185,7 +185,10 @@ def _cmd_sweep(args) -> int:
         label_parts = []
         for key, value in zip(keys, combo):
             _set_path(raw, key, value)
-            label_parts.append(f"{key.split('.')[-1]}={value}")
+            part = f"{key.split('.')[-1]}={value}"
+            if any(sep in part for sep in (os.sep, os.altsep) if sep):
+                raise ConfigError(f"--grid {key}", f"the run directory label {part!r} holds a path separator")
+            label_parts.append(part)
         label = "_".join(label_parts)
         cfg = _apply_overrides(parse_config(json.dumps(raw)), args)
         combos.append((label, replace(cfg, output_path=os.path.join(cfg.output_path, label))))
@@ -208,6 +211,10 @@ def main(argv=None) -> int:
         "sweep": _cmd_sweep,
     }
     try:
+        if args.command in ("compare", "diagnose"):
+            for dest, flag in (("seed_override", "--seed-override"), ("out", "--out")):
+                if hasattr(args, dest):
+                    raise ConfigError(flag, f"applies to run and sweep, not {args.command}")
         return handlers[args.command](args)
     except ConfigError as exc:
         payload = {"error": "config", "field": exc.field, "message": str(exc)}

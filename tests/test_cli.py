@@ -604,6 +604,52 @@ def test_sweep_checks_every_combination_before_the_first_run(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_sweep_rejects_a_label_with_a_path_separator(tmp_path, capsys, monkeypatch):
+    # Unchecked, the label's "/../../../../" would put the run two levels
+    # above the working directory, which is still inside tmp_path.
+    cwd = tmp_path / "a" / "b"
+    cwd.mkdir(parents=True)
+    monkeypatch.chdir(cwd)
+    layer = {"name": "/../../../../esc", "shape": [2, 3], "group": "hidden"}
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"task.layers": [[layer]]}))
+    config = _write_config(tmp_path, total_steps=2, output_path="out",
+                           task={"kind": "quadratic", "layers": [dict(layer, name="w")]})
+    assert main(["sweep", config, "--grid", str(grid)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert (err["error"], err["field"]) == ("config", "--grid task.layers")
+    assert not list(tmp_path.rglob("seed_0.csv"))
+
+
+@pytest.mark.parametrize("command", ["diagnose", "compare"])
+@pytest.mark.parametrize("flag,value", [("--seed-override", "7"), ("--out", "elsewhere")])
+@pytest.mark.parametrize("place", ["before", "after"])
+def test_global_flags_rejected_by_the_readers(tmp_path, capsys, monkeypatch, command, flag, value, place):
+    # --seed-override and --out apply to run and sweep only. After the
+    # subcommand a reader does not know them; before it, each is a config
+    # error named by the flag.
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", _write_config(tmp_path, total_steps=5)]) == 0
+    capsys.readouterr()
+    run = str(tmp_path / "run")
+    argv = {"diagnose": ["diagnose", run], "compare": ["compare", run, run, "--threshold", "0.5"]}[command]
+    if place == "before":
+        assert main([flag, value] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert (err["error"], err["field"]) == ("config", flag)
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "diagnostics.json").exists()
+    assert not (tmp_path / "elsewhere").exists()
+
+
 def _rename_layer5(lines):
     return [l.replace(",layer5,", ",zz,") for l in lines]
 
