@@ -660,7 +660,7 @@ def _json_text(obj) -> str:
             return o if math.isfinite(o) else None
         if isinstance(o, dict):
             return {k: finite(v) for k, v in o.items()}
-        if isinstance(o, (list, tuple)):
+        if isinstance(o, list):
             return [finite(v) for v in o]
         return o
     return json.dumps(finite(obj), sort_keys=True, indent=2, allow_nan=False)
