@@ -179,7 +179,7 @@ def _cmd_sweep(args) -> int:
         if not isinstance(grid[key], list) or not grid[key]:
             raise ConfigError(f"--grid {key}", "expected a non-empty list of values")
     # Every combination is checked before the first one runs.
-    combos = []
+    combos = {}
     for combo in itertools.product(*(grid[k] for k in keys)):
         raw = json.loads(json.dumps(base_raw))
         label_parts = []
@@ -190,10 +190,12 @@ def _cmd_sweep(args) -> int:
                 raise ConfigError(f"--grid {key}", f"the run directory label {part!r} holds a path separator")
             label_parts.append(part)
         label = "_".join(label_parts)
+        if label in combos:
+            raise ConfigError("--grid", f"two combinations share the run directory label {label!r}")
         cfg = _apply_overrides(parse_config(json.dumps(raw)), args)
-        combos.append((label, replace(cfg, output_path=os.path.join(cfg.output_path, label))))
+        combos[label] = replace(cfg, output_path=os.path.join(cfg.output_path, label))
     results = []
-    for label, cfg in combos:
+    for label, cfg in combos.items():
         summary, _ = run_experiment(cfg, workers=args.workers)
         results.append({"label": label, "output_path": cfg.output_path,
                         "summary": summary})

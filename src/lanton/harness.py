@@ -285,7 +285,9 @@ def _load_document(text: str, field: str = "<document>") -> dict:
     """The top-level object of a JSON document, or a ConfigError at ``field``."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers a JSONDecodeError and an integer literal past
+        # Python's digit limit; RecursionError, arrays or objects nested too deep.
         raise ConfigError(field, f"malformed JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(field, "top level must be an object")

@@ -81,6 +81,10 @@ class LayerSpec:
     def __post_init__(self):
         if any(c in self.name for c in CSV_UNSAFE):
             raise ValueError(f"layer {self.name!r}: a comma or line break would break the CSV")
+        try:
+            self.name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"layer {self.name!r}: UTF-8 cannot encode it, so the CSV cannot hold it") from None
         if any(d < 1 for d in self.shape):
             raise ValueError(f"layer {self.name}: dims must be >= 1, got {self.shape}")
         if self.group is Group.VECTOR_NORM and len(self.shape) != 1:

@@ -26,12 +26,12 @@ from lanton.harness import (
     run_experiment,
     steps_to_threshold,
 )
-from lanton.linalg import jacobi_svd
 from lanton.lmo import (
     NS_SIGMA_ENVELOPE,
+    NS_SPECTRAL_ENVELOPE,
     lmo,
+    measure_ns_envelope,
     newton_schulz,
-    ns_envelope_cases,
 )
 from lanton.norms import Group, dual_norm, primal_norm
 from lanton.optimizer import LantonConfig, LayerSpec, init_state, update_noise_tracker
@@ -112,13 +112,15 @@ def test_criterion_02_duality_pairing():
 
 
 def test_criterion_03_newton_schulz_quality():
-    lo, hi = NS_SIGMA_ENVELOPE
-    count = 0
-    for _, a in ns_envelope_cases():
-        s = jacobi_svd(newton_schulz(a)).s
-        assert s[-1] >= lo * (1.0 - 1e-6)
-        assert s[0] <= hi * (1.0 + 1e-6)
-        count += 1
+    # The sweep must give the pinned envelope to the 7 digits it is pinned
+    # with, which also keeps every output singular value inside it.
+    sigma, spectral = measure_ns_envelope()
+    measured = [f"{v:.6e}" for v in sigma + spectral]
+    pinned = [f"{v:.6e}" for v in NS_SIGMA_ENVELOPE + NS_SPECTRAL_ENVELOPE]
+    assert measured == pinned, (
+        "the sweep no longer gives the pinned envelope; to re-pin, paste into lmo.py:\n"
+        f"NS_SIGMA_ENVELOPE = ({measured[0]}, {measured[1]})\n"
+        f"NS_SPECTRAL_ENVELOPE = ({measured[2]}, {measured[3]})")
     rng = np.random.default_rng(1003)
     for shape in ((4, 4), (8, 8), (16, 5), (5, 16)):
         m = np.round(rng.standard_normal(shape) * 2 ** 16) / 2 ** 16
@@ -127,8 +129,7 @@ def test_criterion_03_newton_schulz_quality():
         for c in (1e-3, 1.0, 1e3):
             assert np.array_equal(newton_schulz(c * a), base), (shape, c)
     _report("criterion 3 (newton-schulz quality)",
-            f"{count} sweep matrices inside envelope [{lo:.4g}, {hi:.4g}]; "
-            "rescaling by 1e-3/1/1e3 bit-exact")
+            f"sweep gives the pinned envelopes {pinned}; rescaling by 1e-3/1/1e3 bit-exact")
 
 
 def test_criterion_04_tracker_closed_form():

@@ -358,6 +358,8 @@ def test_diagnose_skips_switched_off_columns(tmp_path, capsys):
     pytest.param("{", "--grid", id="malformed"),
     pytest.param("[]", "--grid", id="not_an_object"),
     pytest.param('{"optimizer.eta_max": 0.1}', "--grid optimizer.eta_max", id="not_a_list"),
+    # Both combinations would run in beta1=0.9, the second over the first.
+    pytest.param('{"optimizer.beta1": [0.9, 0.9]}', "--grid", id="shared_run_directory"),
 ])
 def test_sweep_bad_grid_named(tmp_path, capsys, grid, field):
     grid_path = tmp_path / "grid.json"
@@ -366,6 +368,44 @@ def test_sweep_bad_grid_named(tmp_path, capsys, grid, field):
     err = json.loads(capsys.readouterr().err)
     assert (err["error"], err["field"]) == ("config", field)
     assert not (tmp_path / "run").exists()
+
+
+_TOO_DEEP = "[" * 100_000 + "]" * 100_000
+_TOO_MANY_DIGITS = '{"total_steps": ' + "1" * 5001 + "}"
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(_TOO_DEEP, id="nested_too_deep"),
+    pytest.param(_TOO_MANY_DIGITS, id="integer_too_long"),
+])
+@pytest.mark.parametrize("document,field", [
+    ("run_config", "<document>"),
+    ("grid", "--grid"),
+    ("run_dir_config", "<document>"),
+])
+def test_json_the_decoder_cannot_take_named(tmp_path, capsys, text, document, field):
+    # The decoder gives up on such a document with a RecursionError or a
+    # ValueError of its own; each is a config error at the document's field.
+    config = _write_config(tmp_path, total_steps=5)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"optimizer.eta_max": [1e-3]}))
+    if document == "run_config":
+        argv = ["run", config]
+        (tmp_path / "config.json").write_text(text)
+    elif document == "grid":
+        argv = ["sweep", config, "--grid", str(grid)]
+        grid.write_text(text)
+    else:
+        assert main(["run", config]) == 0
+        argv = ["diagnose", str(tmp_path / "run")]
+        (tmp_path / "run" / "config.json").write_text(text)
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert (err["error"], err["field"]) == ("config", field)
+    assert "malformed JSON" in err["message"]
 
 
 @pytest.mark.parametrize("name", ["a\u2028b", "a\x0cb", "a\x85b", "a\x0bb", "a\x1cb", "a\u2029b"])

@@ -428,7 +428,8 @@ def test_layer_spec_validation():
         LayerSpec("bad", (4,), Group.HIDDEN)
 
 
-@pytest.mark.parametrize("name", ["a,b", "a\nb", "a\rb"])
+# The last is a lone surrogate, which UTF-8 cannot encode.
+@pytest.mark.parametrize("name", ["a,b", "a\nb", "a\rb", "a\ud800"])
 def test_layer_spec_rejects_csv_unsafe_name(name):
     with pytest.raises(ValueError, match="CSV"):
         LayerSpec(name, (2, 2), Group.HIDDEN)
