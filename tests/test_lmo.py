@@ -223,4 +223,3 @@ def test_vector_lmo_unit_rms():
     rng = np.random.default_rng(21)
     w = rng.standard_normal(9)
     assert rms_norm(lmo(Group.VECTOR_NORM, w)) == pytest.approx(1.0, rel=1e-12)
-
