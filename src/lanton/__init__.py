@@ -3,9 +3,9 @@
 Submodules:
 
 * :mod:`lanton.checks`      typed config value checks, ConfigError
-* :mod:`lanton.linalg`      dense float64 kernels (Frobenius norm, Jacobi SVD)
+* :mod:`lanton.linalg`      dense float64 kernels (Frobenius norm, LAPACK singular values)
 * :mod:`lanton.norms`       per-group primal and dual norms
-* :mod:`lanton.lmo`         linear minimization oracles, Newton-Schulz polar
+* :mod:`lanton.lmo`         linear minimization oracles, Newton-Schulz and exact polar
 * :mod:`lanton.optimizer`   the adaptive optimizer and reference baselines
 * :mod:`lanton.tasks`       synthetic noise-controlled objectives
 * :mod:`lanton.diagnostics` tracker/ratio bound checks on telemetry

@@ -300,7 +300,12 @@ def parse_config(text: str) -> ExperimentConfig:
     Unknown keys and out-of-range values are rejected with the offending
     field path in the message.
     """
-    raw = _load_document(text)
+    return _parse_document(_load_document(text))
+
+
+def _parse_document(raw: dict) -> ExperimentConfig:
+    """The typed config of a decoded config document. ``raw`` is only read:
+    the result shares no mutable object with it, and it is left unchanged."""
     _check_keys(raw, _TOP_KEYS, "")
     task_section = _parse_task(_require(raw, "task", ""))
     total_steps = check_integer(raw.get("total_steps", 1000), "total_steps", lo=1)
@@ -464,13 +469,17 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1):
     each ``seed_<s>.csv`` as soon as that seed and every seed before it in
     ``cfg.seeds`` have ended, and ``summary.json`` after the last. An
     exception from a seed reaches the caller with the CSVs of the seeds
-    before it written and no ``summary.json``.
+    before it written and no ``summary.json``. An ``output_path`` that is a
+    file, or lies under one, raises a ``ConfigError`` naming it.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     task = build_task(cfg.task_section)
     outdir = cfg.output_path
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ConfigError("output_path", f"{outdir!r}: a file is in the way of the run directory") from None
     _write_text_atomic(os.path.join(outdir, "config.json"), _json_text(canonical_config(cfg)) + "\n")
     records_by_seed, per_seed = {}, []
     # A pool starts no thread before its first task, so a serial run starts none.
@@ -731,8 +740,9 @@ def read_run_config(path: str) -> ExperimentConfig:
     config_path = os.path.join(path, "config.json")
     text = _read_text(config_path)
     try:
-        cfg = parse_config(text)
-        field = _echo_mismatch(json.loads(text), canonical_config(cfg))
+        raw = _load_document(text)
+        cfg = _parse_document(raw)
+        field = _echo_mismatch(raw, canonical_config(cfg))
         if field is not None:
             raise ConfigError(field, "missing or not as the run wrote it")
     except ConfigError as exc:

@@ -9,7 +9,7 @@ with b:
 * VECTOR_NORM:     -sqrt(d) * b / ||b||_2
 
 The hidden-group polar factor U V^T is approximated with Newton-Schulz
-iterations (the production path) or computed exactly from the Jacobi SVD
+iterations (the production path) or computed exactly from LAPACK's SVD
 (the oracle path used for testing). A zero direction maps to the zero
 element: a layer with zero momentum should not move.
 """
@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .linalg import as_matrix, frobenius_norm, jacobi_svd
+from .linalg import as_matrix, frobenius_norm, require_finite, singular_values
 from .norms import Group
 
 __all__ = [
@@ -51,8 +51,9 @@ DEFAULT_NS_STEPS = 5
 # Regression envelope for the 5-step quintic iteration, measured by
 # measure_ns_envelope() over the seeded sweep returned by ns_envelope_cases()
 # (sizes 4..256, condition numbers 1..1e4) with output singular values taken
-# from jacobi_svd. Frozen: acceptance criterion 3 requires the sweep to give
-# these values to 7 digits, and on a mismatch prints the lines to paste here.
+# from linalg.singular_values (LAPACK). Frozen: acceptance criterion 3 requires
+# the sweep to give these values to 7 digits, and on a mismatch prints the
+# lines to paste here.
 NS_SIGMA_ENVELOPE = (1.279996e-02, 1.202354e+00)
 NS_SPECTRAL_ENVELOPE = (6.881399e-01, 1.202354e+00)
 
@@ -113,18 +114,19 @@ def newton_schulz(a, steps: int = DEFAULT_NS_STEPS) -> np.ndarray:
 
 
 def polar_exact(a) -> np.ndarray:
-    """Exact polar factor U V^T from the Jacobi SVD.
+    """Exact polar factor U V^T from LAPACK's reduced SVD.
 
     Singular values below 1e-12 times the largest are dropped from the
     product, so rank-deficient inputs map to the polar factor of their
-    leading subspace.
+    leading subspace. A non-finite entry raises ``ValueError``.
     """
     a = as_matrix(a)
+    require_finite("polar_exact input", a)
     if not np.count_nonzero(a):
         raise ValueError("polar_exact: zero matrix has no polar factor")
-    res = jacobi_svd(a)
-    keep = res.s > 1e-12 * res.s[0]
-    return res.u[:, keep] @ res.vt[keep, :]
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    keep = s > 1e-12 * s[0]
+    return u[:, keep] @ vt[keep, :]
 
 
 def lmo(group: Group, b, ns_steps: int = DEFAULT_NS_STEPS, oracle: bool = False) -> np.ndarray:
@@ -194,7 +196,7 @@ def measure_ns_envelope(steps: int = DEFAULT_NS_STEPS):
     smallest = []
     largest = []
     for _, a in ns_envelope_cases():
-        s = jacobi_svd(newton_schulz(a, steps=steps)).s
+        s = singular_values(newton_schulz(a, steps=steps))
         smallest.append(float(s[-1]))
         largest.append(float(s[0]))
     high = max(largest)

@@ -624,6 +624,29 @@ def test_config_the_run_cannot_write_named(tmp_path, capsys, monkeypatch, argv, 
     assert sorted(os.listdir(tmp_path)) == ["config.json", "grid.json"]
 
 
+@pytest.mark.parametrize("out", ["afile", os.path.join("afile", "run")])
+@pytest.mark.parametrize("argv,overrides,run_dir", [
+    pytest.param(["run", "config.json"], {"output_path": "{out}"}, "{out}", id="run"),
+    pytest.param(["sweep", "config.json", "--grid", "grid.json", "--out", "{out}"], {},
+                 os.path.join("{out}", "eta_max=0.001"), id="sweep_out_flag"),
+])
+def test_output_path_at_or_under_a_file_named(tmp_path, capsys, monkeypatch, out, argv, overrides, run_dir):
+    # A file where the run directory, or a directory above it, would go:
+    # a config error naming the field and the run directory, the file kept.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_bytes(b"kept\n")
+    _write_config(tmp_path, total_steps=5, **{k: v.replace("{out}", out) for k, v in overrides.items()})
+    (tmp_path / "grid.json").write_text(json.dumps({"optimizer.eta_max": [1e-3]}))
+    assert main([a.replace("{out}", out) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert (err["error"], err["field"]) == ("config", "output_path")
+    assert repr(run_dir.replace("{out}", out)) in err["message"]
+    assert (tmp_path / "afile").read_bytes() == b"kept\n"
+    assert sorted(os.listdir(tmp_path)) == ["afile", "config.json", "grid.json"]
+
+
 def test_output_path_from_argv_bytes_that_are_not_utf8(tmp_path, capsys, monkeypatch):
     # Python decodes such argv bytes to lone surrogates that os.fsencode
     # turns back into the same bytes: the path is valid.

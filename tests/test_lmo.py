@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from lanton.linalg import as_matrix, frobenius_norm, jacobi_svd
+from lanton.linalg import as_matrix, frobenius_norm
 from lanton.lmo import (
     NS_SIGMA_ENVELOPE,
     NS_SPECTRAL_ENVELOPE,
@@ -16,6 +16,7 @@ from lanton.lmo import (
 )
 from lanton.norms import Group, primal_norm, rms_norm
 
+from jacobi import jacobi_svd
 from strategies import ROW_COLUMN_SQUARE, SIZES, matrices
 
 
@@ -159,6 +160,29 @@ class TestPolarExact:
         a = rng.standard_normal((5, 5))
         p = polar_exact(a)
         assert np.abs(p.T @ p - np.eye(5)).max() <= 1e-10
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, value):
+        a = np.eye(3)
+        a[1, 2] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            polar_exact(a)
+
+    @pytest.mark.parametrize("shape", [(8, 8), (3, 8), (8, 3), (1, 5), (64, 64), (128, 32), "rank2_8x5"],
+                             ids=["8x8", "3x8", "8x3", "1x5", "64x64", "128x32", "rank2_8x5"])
+    def test_matches_the_jacobi_oracle(self, shape):
+        # LAPACK's polar against an independent SVD route, with the same
+        # rank cut-off: criterion 2 pairs polar_exact with a LAPACK nuclear
+        # norm, so this is the check that does not lean on LAPACK.
+        rng = np.random.default_rng(24)
+        if shape == "rank2_8x5":
+            a = rng.standard_normal((8, 2)) @ rng.standard_normal((2, 5))
+        else:
+            a = rng.standard_normal(shape)
+        res = jacobi_svd(a)
+        keep = res.s > 1e-12 * res.s[0]
+        oracle = res.u[:, keep] @ res.vt[keep, :]
+        assert np.abs(polar_exact(a) - oracle).max() <= 1e-12
 
 
 class TestLmo:

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from lanton.linalg import frobenius_norm, jacobi_svd
+from lanton.linalg import frobenius_norm
 from lanton.lmo import lmo
 from lanton.norms import Group, dual_norm, nuclear_norm, primal_norm, rms_norm
+
+from jacobi import jacobi_svd
 
 
 def _random_element(group, rng):
