@@ -162,6 +162,216 @@ class TestParseConfig:
         assert task_signature(c1.task_section) == task_signature(c2.task_section)
 
 
+# A key given this value is left out of the document.
+_GONE = object()
+
+
+def _doc(task=None, **top):
+    """A config document: the transformer preset and default optimizer, with
+    top-level keys set or (as ``_GONE``) left out."""
+    doc = _stub_config(**({} if task is None else {"task": task}))
+    doc.update(top)
+    return {k: v for k, v in doc.items() if v is not _GONE}
+
+
+def _task(form, **keys):
+    base = {
+        "transformer": {"kind": "quadratic", "preset": "transformer"},
+        "heterogeneous": {"kind": "quadratic", "preset": "heterogeneous"},
+        "layers": {"kind": "quadratic", "layers": [{"name": "a", "shape": [2, 2], "group": "hidden"}]},
+        "mlp": {"kind": "mlp", "widths": [2, 3, 1]},
+    }[form]
+    task = {**base, **keys}
+    return _doc({k: v for k, v in task.items() if v is not _GONE})
+
+
+def _layer(*layers, **keys):
+    """A layer-list task whose first layer is edited by ``keys``, followed by
+    ``layers``."""
+    first = {"name": "a", "shape": [2, 2], "group": "hidden", **keys}
+    first = {k: v for k, v in first.items() if v is not _GONE}
+    return _doc({"kind": "quadratic", "layers": [first, *layers]})
+
+
+def _pin(doc, field, message, id):
+    return pytest.param(doc, field, message, id=id)
+
+
+# Every kind of parser error, with its exact field and message: an unknown
+# key in each section, each required key left out, a wrong type and an
+# out-of-range value for each typed key, and each cross-field rule.
+_PINNED_ERRORS = [
+    # unknown keys
+    _pin(_doc(bogus=1), "bogus", "unknown key", "top_unknown"),
+    _pin(_task("transformer", n_layers=6), "task.n_layers", "unknown key", "transformer_unknown"),
+    _pin(_task("heterogeneous", layer_count=6), "task.layer_count", "unknown key", "heterogeneous_unknown"),
+    _pin(_task("layers", shape=[2, 2]), "task.shape", "unknown key", "layer_list_unknown"),
+    _pin(_task("mlp", preset="transformer"), "task.preset", "unknown key", "mlp_unknown"),
+    _pin(_layer(size=3), "task.layers[0].size", "unknown key", "layer_unknown"),
+    _pin(_task("mlp", noise={"w3": [0.0, 0.0]}), "task.noise.w3", "unknown key", "noise_unknown"),
+    _pin(_doc(telemetry={"loss": True}), "telemetry.loss", "unknown key", "telemetry_unknown"),
+    _pin(_doc(optimizer={"beta3": 0.9}), "optimizer.beta3", "unknown key", "optimizer_unknown"),
+    _pin(_task("layers", preset=None), "task.preset", "unknown key", "null_preset_beside_layers"),
+    # required keys
+    _pin(_doc(task=_GONE), "task", "missing required key", "task_missing"),
+    _pin(_doc(optimizer=_GONE), "optimizer", "missing required key", "optimizer_missing"),
+    _pin(_task("transformer", kind=_GONE), "task.kind", "missing required key", "kind_missing"),
+    _pin(_task("mlp", widths=_GONE), "task.widths", "missing required key", "widths_missing"),
+    _pin(_task("layers", layers=_GONE), "task.layers", "missing required key", "layers_missing"),
+    _pin(_layer(name=_GONE), "task.layers[0].name", "missing required key", "layer_name_missing"),
+    _pin(_layer(group=_GONE), "task.layers[0].group", "missing required key", "layer_group_missing"),
+    _pin(_layer(shape=_GONE), "task.layers[0].shape", "missing required key", "layer_shape_missing"),
+    # top level
+    _pin(_doc(task="transformer"), "task", "expected an object", "task_type"),
+    _pin(_doc(total_steps="10"), "total_steps", "expected an integer, got '10'", "total_steps_type"),
+    _pin(_doc(total_steps=True), "total_steps", "expected an integer, got True", "total_steps_bool"),
+    _pin(_doc(total_steps=0), "total_steps", "must be >= 1, got 0", "total_steps_range"),
+    _pin(_doc(optimizer=[]), "optimizer", "expected an object", "optimizer_type"),
+    _pin(_doc(seeds=0), "seeds", "expected a non-empty list of integers", "seeds_type"),
+    _pin(_doc(seeds=[]), "seeds", "expected a non-empty list of integers", "seeds_empty"),
+    _pin(_doc(seeds=[0.5]), "seeds[0]", "expected an integer, got 0.5", "seed_type"),
+    _pin(_doc(seeds=[1, -1]), "seeds[1]", "must be >= 0, got -1", "seed_range"),
+    _pin(_doc(seeds=[2, 2]), "seeds[1]", "duplicate seed 2", "seed_duplicate"),
+    _pin(_doc(telemetry=[]), "telemetry", "expected an object", "telemetry_type"),
+    _pin(_doc(telemetry={"h": 1}), "telemetry.h", "expected a boolean, got 1", "telemetry_h_type"),
+    _pin(_doc(telemetry={"ratio": None}), "telemetry.ratio", "expected a boolean, got None",
+         "telemetry_ratio_type"),
+    _pin(_doc(telemetry={"dual_grad_norm": "no"}), "telemetry.dual_grad_norm",
+         "expected a boolean, got 'no'", "telemetry_dual_grad_norm_type"),
+    _pin(_doc(output_path=3), "output_path", "expected a string, got 3", "output_path_type"),
+    _pin(_doc(output_path=""), "output_path", "expected a non-empty path", "output_path_empty"),
+    _pin(_doc(output_path="a\0b"), "output_path", "'a\\x00b': not a path the file system can take",
+         "output_path_nul"),
+    _pin(_doc(output_path="a\ud800"), "output_path", "'a\\ud800': not a path the file system can take",
+         "output_path_lone_surrogate"),
+    _pin(_doc(loss_threshold="0.1"), "loss_threshold", "expected a number, got '0.1'", "threshold_type"),
+    _pin(_doc(loss_threshold=math.inf), "loss_threshold", "must be finite", "threshold_not_finite"),
+    # optimizer
+    _pin(_doc(optimizer={"kind": "adam"}), "optimizer.kind",
+         "must be one of ['fixed_rate_lmo', 'lanton', 'sgd', 'signum'], got 'adam'", "optimizer_kind"),
+    _pin(_doc(optimizer={"mode": 1}), "optimizer.mode", "expected a string, got 1", "optimizer_mode_type"),
+    _pin(_doc(optimizer={"beta2": 1.0}), "optimizer.beta2", "must be < 1.0, got 1.0", "beta2_range"),
+    _pin(_doc(optimizer={"ns_steps": 2.0}), "optimizer.ns_steps", "expected an integer, got 2.0",
+         "ns_steps_type"),
+    _pin(_doc(optimizer={"eta_min": 0.1, "eta_max": 0.01}), "optimizer.eta_min",
+         "eta_min 0.1 > eta_max 0.01", "eta_order"),
+    _pin(_doc(optimizer={"warmup_steps": 5}, total_steps=5), "optimizer.warmup_steps",
+         "must be < total_steps (5)", "warmup_range"),
+    # task kind and preset
+    _pin(_task("transformer", kind="cnn"), "task.kind", "must be one of ['mlp', 'quadratic'], got 'cnn'",
+         "kind_range"),
+    _pin(_task("transformer", kind=1), "task.kind", "expected a string, got 1", "kind_type"),
+    _pin(_task("transformer", preset="gpt"), "task.preset",
+         "must be one of ['heterogeneous', 'transformer'], got 'gpt'", "preset_range"),
+    _pin(_task("transformer", preset=1), "task.preset", "expected a string, got 1", "preset_type"),
+    # the presets
+    _pin(_task("transformer", seed="1"), "task.seed", "expected an integer, got '1'", "preset_seed_type"),
+    _pin(_task("transformer", shape="8x8"), "task.shape", "expected a non-empty list of dims, got '8x8'",
+         "preset_shape_type"),
+    _pin(_task("transformer", shape=[]), "task.shape", "expected a non-empty list of dims, got []",
+         "preset_shape_empty"),
+    _pin(_task("transformer", shape=[8, 2.5]), "task.shape[1]", "expected an integer, got 2.5",
+         "preset_dim_type"),
+    _pin(_task("transformer", shape=[8, 0]), "task.shape[1]", "must be >= 1, got 0", "preset_dim_range"),
+    _pin(_task("transformer", shape=[8]), "task.shape", "expected 2 dims, got 1", "preset_shape_arity"),
+    _pin(_task("transformer", smoothness="1"), "task.smoothness", "expected a number, got '1'",
+         "preset_smoothness_type"),
+    _pin(_task("transformer", smoothness=0), "task.smoothness", "must be > 0.0, got 0.0",
+         "preset_smoothness_range"),
+    _pin(_task("transformer", smoothness=math.nan), "task.smoothness", "must be finite",
+         "preset_smoothness_not_finite"),
+    _pin(_task("heterogeneous", shape=[4, 4, 4]), "task.shape", "expected 2 dims, got 3",
+         "heterogeneous_shape_arity"),
+    _pin(_task("heterogeneous", n_layers=2.5), "task.n_layers", "expected an integer, got 2.5",
+         "n_layers_type"),
+    _pin(_task("heterogeneous", n_layers=1), "task.n_layers", "must be >= 2, got 1", "n_layers_range"),
+    _pin(_task("heterogeneous", spread="x"), "task.spread", "expected a number, got 'x'", "spread_type"),
+    _pin(_task("heterogeneous", spread=0.5), "task.spread", "must be >= 1.0, got 0.5", "spread_range"),
+    _pin(_task("heterogeneous", sigma_hi_base=None), "task.sigma_hi_base", "expected a number, got None",
+         "sigma_hi_base_type"),
+    _pin(_task("heterogeneous", sigma_hi_base=-1), "task.sigma_hi_base", "must be >= 0.0, got -1.0",
+         "sigma_hi_base_range"),
+    _pin(_task("heterogeneous", lo_frac=[0.5]), "task.lo_frac", "expected a number, got [0.5]",
+         "lo_frac_type"),
+    _pin(_task("heterogeneous", lo_frac=1.5), "task.lo_frac", "must be <= 1.0, got 1.5", "lo_frac_range"),
+    _pin(_task("heterogeneous", sigma_hi_base=1e300, spread=1e10), "task.sigma_hi_base",
+         "1e+300 times spread 10000000000.0, the top noise radius, is not finite", "top_radius_not_finite"),
+    # the layer list
+    _pin(_task("layers", seed=0.5), "task.seed", "expected an integer, got 0.5", "layer_list_seed_type"),
+    _pin(_task("layers", layers={"a": {}}), "task.layers", "expected a non-empty list", "layers_type"),
+    _pin(_task("layers", layers=[]), "task.layers", "expected a non-empty list", "layers_empty"),
+    _pin(_task("layers", layers=["a"]), "task.layers[0]", "expected an object", "layer_type"),
+    _pin(_layer(name=3), "task.layers[0].name", "expected a string, got 3", "layer_name_type"),
+    _pin(_layer(name="a,b"), "task.layers[0].name", "'a,b': a comma or line break would break the CSV",
+         "layer_name_comma"),
+    _pin(_layer(name="a\nb"), "task.layers[0].name", "'a\\nb': a comma or line break would break the CSV",
+         "layer_name_line_break"),
+    _pin(_layer(name="a\ud800"), "task.layers[0].name",
+         "'a\\ud800': UTF-8 cannot encode it, so the CSV cannot hold it", "layer_name_lone_surrogate"),
+    _pin(_layer({"name": "b", "shape": [3], "group": "vector_norm"},
+                {"name": "a", "shape": [2, 2], "group": "hidden"}),
+         "task.layers[2].name", "duplicate layer name 'a'", "layer_name_duplicate"),
+    _pin(_layer(group="conv"), "task.layers[0].group",
+         "must be one of ['embedding_head', 'hidden', 'vector_norm'], got 'conv'", "layer_group_range"),
+    _pin(_layer(group=["hidden"]), "task.layers[0].group", "expected a string, got ['hidden']",
+         "layer_group_type"),
+    _pin(_layer(group="vector_norm"), "task.layers[0].shape", "expected 1 dims, got 2",
+         "vector_layer_shape_arity"),
+    _pin(_layer(group="embedding_head", shape=[4]), "task.layers[0].shape", "expected 2 dims, got 1",
+         "matrix_layer_shape_arity"),
+    _pin(_layer(shape=4), "task.layers[0].shape", "expected a non-empty list of dims, got 4",
+         "layer_shape_type"),
+    _pin(_layer(shape=[2, -2]), "task.layers[0].shape[1]", "must be >= 1, got -2", "layer_dim_range"),
+    _pin(_layer(smoothness="x"), "task.layers[0].smoothness", "expected a number, got 'x'",
+         "layer_smoothness_type"),
+    _pin(_layer(smoothness=-1.0), "task.layers[0].smoothness", "must be > 0.0, got -1.0",
+         "layer_smoothness_range"),
+    _pin(_layer(sigma_lo=True), "task.layers[0].sigma_lo", "expected a number, got True",
+         "layer_sigma_lo_type"),
+    _pin(_layer(sigma_lo=-0.1), "task.layers[0].sigma_lo", "must be >= 0.0, got -0.1",
+         "layer_sigma_lo_range"),
+    _pin(_layer(sigma_hi="1"), "task.layers[0].sigma_hi", "expected a number, got '1'",
+         "layer_sigma_hi_type"),
+    _pin(_layer(sigma_hi=-0.1), "task.layers[0].sigma_hi", "must be >= 0.0, got -0.1",
+         "layer_sigma_hi_range"),
+    _pin(_layer(sigma_lo=0.5, sigma_hi=0.1), "task.layers[0].sigma_lo", "sigma_lo 0.5 > sigma_hi 0.1",
+         "layer_radius_order"),
+    _pin(_layer(sigma_lo=0.5), "task.layers[0].sigma_lo", "sigma_lo 0.5 > sigma_hi 0.0",
+         "layer_radius_order_default_hi"),
+    # the MLP
+    _pin(_task("mlp", widths="2-3-1"), "task.widths", "expected a non-empty list of dims, got '2-3-1'",
+         "widths_type"),
+    _pin(_task("mlp", widths=[2, 3]), "task.widths", "expected 3 dims, got 2", "widths_arity"),
+    _pin(_task("mlp", widths=[2, 0, 1]), "task.widths[1]", "must be >= 1, got 0", "width_range"),
+    _pin(_task("mlp", n_samples=8.0), "task.n_samples", "expected an integer, got 8.0", "n_samples_type"),
+    _pin(_task("mlp", n_samples=0), "task.n_samples", "must be >= 1, got 0", "n_samples_range"),
+    _pin(_task("mlp", dataset_seed="0"), "task.dataset_seed", "expected an integer, got '0'",
+         "dataset_seed_type"),
+    _pin(_task("mlp", label_noise="x"), "task.label_noise", "expected a number, got 'x'",
+         "label_noise_type"),
+    _pin(_task("mlp", label_noise=-0.5), "task.label_noise", "must be >= 0.0, got -0.5",
+         "label_noise_range"),
+    _pin(_task("mlp", seed=None), "task.seed", "expected an integer, got None", "mlp_seed_type"),
+    _pin(_task("mlp", noise=[0.0, 0.0]), "task.noise", "expected an object", "noise_type"),
+    _pin(_task("mlp", noise={"w1": 0.1}), "task.noise.w1", "expected [sigma_lo, sigma_hi]", "radii_type"),
+    _pin(_task("mlp", noise={"w2": [0.1]}), "task.noise.w2", "expected [sigma_lo, sigma_hi]",
+         "radii_length"),
+    _pin(_task("mlp", noise={"w1": ["0", 0.1]}), "task.noise.w1[0]", "expected a number, got '0'",
+         "radius_type"),
+    _pin(_task("mlp", noise={"w2": [0.0, -0.1]}), "task.noise.w2[1]", "must be >= 0.0, got -0.1",
+         "radius_range"),
+    _pin(_task("mlp", noise={"w1": [0.5, 0.1]}), "task.noise.w1", "sigma_lo 0.5 > sigma_hi 0.1",
+         "mlp_radius_order"),
+]
+
+
+@pytest.mark.parametrize("doc,field,message", _PINNED_ERRORS)
+def test_parser_error_pinned(doc, field, message):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(doc))
+    assert (exc.value.field, exc.value.message) == (field, message)
+
+
 class TestExecuteRun:
     def test_sgd_closed_form(self):
         cfg = parse_config(json.dumps({
