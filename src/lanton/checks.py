@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["ConfigError", "check_number", "check_integer", "check_boolean", "check_string"]
+__all__ = ["ConfigError", "CHECKS", "check_number", "check_integer", "check_boolean", "check_string"]
 
 
 class ConfigError(ValueError):
@@ -49,3 +49,8 @@ def check_string(value, path: str, choices=None) -> str:
     if choices is not None and value not in choices:
         raise ConfigError(path, f"must be one of {sorted(choices)}, got {value!r}")
     return value
+
+
+# The check of each JSON type a typed config key may take; its keyword
+# arguments are the key's bounds.
+CHECKS = {float: check_number, int: check_integer, bool: check_boolean, str: check_string}

@@ -33,6 +33,7 @@ from .harness import (
     task_layers,
     _json_text,
     _load_document,
+    _parse_document,
     _read_text,
     _write_text_atomic,
 )
@@ -158,14 +159,12 @@ def _cmd_diagnose(args) -> int:
     return 0
 
 
-def _set_path(obj: dict, dotted: str, value) -> None:
-    parts = dotted.split(".")
-    node = obj
-    for part in parts[:-1]:
-        if part not in node or not isinstance(node[part], dict):
-            node[part] = {}
-        node = node[part]
-    node[parts[-1]] = value
+def _with_path(obj: dict, parts: list[str], value) -> dict:
+    """A copy of ``obj`` with ``value`` at the key path ``parts``. Only the
+    dicts on the path are copied: the parser leaves a document unchanged."""
+    node = obj.get(parts[0])
+    tail = value if len(parts) == 1 else _with_path(node if isinstance(node, dict) else {}, parts[1:], value)
+    return {**obj, parts[0]: tail}
 
 
 def _cmd_sweep(args) -> int:
@@ -181,10 +180,10 @@ def _cmd_sweep(args) -> int:
     # Every combination is checked before the first one runs.
     combos = {}
     for combo in itertools.product(*(grid[k] for k in keys)):
-        raw = json.loads(json.dumps(base_raw))
+        raw = base_raw
         label_parts = []
         for key, value in zip(keys, combo):
-            _set_path(raw, key, value)
+            raw = _with_path(raw, key.split("."), value)
             part = f"{key.split('.')[-1]}={value}"
             if any(sep in part for sep in (os.sep, os.altsep) if sep):
                 raise ConfigError(f"--grid {key}", f"the run directory label {part!r} holds a path separator")
@@ -192,7 +191,7 @@ def _cmd_sweep(args) -> int:
         label = "_".join(label_parts)
         if label in combos:
             raise ConfigError("--grid", f"two combinations share the run directory label {label!r}")
-        cfg = _apply_overrides(parse_config(json.dumps(raw)), args)
+        cfg = _apply_overrides(_parse_document(raw), args)
         combos[label] = replace(cfg, output_path=os.path.join(cfg.output_path, label))
     results = []
     for label, cfg in combos.items():

@@ -24,11 +24,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .checks import ConfigError, check_boolean, check_integer, check_number, check_string
+from .checks import CHECKS, ConfigError, check_integer, check_number, check_string
 from .norms import Group
 from .optimizer import (
     BASELINE_KINDS,
-    CSV_UNSAFE,
     MODES,
     OPTIONS,
     GradientError,
@@ -37,6 +36,7 @@ from .optimizer import (
     LayerStats,
     TelemetryFlags,
     baseline_step,
+    check_layer_name,
     init_state,
     lanton_step,
     needs_twins,
@@ -145,130 +145,128 @@ Row t is step t, and every step lists every layer."""
 # config parsing
 
 
-def _check_keys(obj: dict, allowed: set[str], path: str) -> None:
+def _check_keys(obj: dict, allowed, path: str) -> None:
     for key in obj:
         if key not in allowed:
             raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
 
 
-def _require(obj: dict, key: str, path: str):
-    if key not in obj:
-        raise ConfigError(f"{path}.{key}" if path else key, "missing required key")
-    return obj[key]
+_REQUIRED = object()
 
 
-_PRESETS = {"transformer": transformer_layers, "heterogeneous": heterogeneous_layers}
-_QUAD_PRESET_KEYS = {
-    "transformer": {"kind", "preset", "seed", "shape", "smoothness"},
-    "heterogeneous": {"kind", "preset", "seed", "shape", "smoothness",
-                      "n_layers", "spread", "sigma_hi_base", "lo_frac"},
-}
-_LAYER_KEYS = {"name", "shape", "group", "smoothness", "sigma_lo", "sigma_hi"}
-_MLP_KEYS = {"kind", "widths", "n_samples", "dataset_seed", "label_noise", "seed", "noise"}
-_TOP_KEYS = {"task", "optimizer", "seeds", "total_steps", "telemetry",
-             "output_path", "loss_threshold"}
+def _key(check, default=_REQUIRED, **bounds) -> tuple:
+    """A key of a config section: its check, its default (or ``_REQUIRED``)
+    and the check's bounds. A check is a JSON type, run by its ``CHECKS``
+    function; a nested section's table; or a function of ``(value, field,
+    section, **bounds)``, where ``section`` holds the keys checked before it.
+    A key whose default is None may also be null."""
+    return check, default, bounds
 
 
-def _parse_shape(value, path: str, arity=None) -> tuple[int, ...]:
+def _walk(section, table: dict, path: str) -> dict:
+    """The checked copy of a config section, every default filled in.
+    ``table`` maps each key, in the order they are checked, to its ``_key``."""
+    if not isinstance(section, dict):
+        raise ConfigError(path, "expected an object")
+    _check_keys(section, table, path)
+    out = {}
+    for name, (check, default, bounds) in table.items():
+        field = f"{path}.{name}" if path else name
+        value = section.get(name, default)
+        if value is _REQUIRED:
+            raise ConfigError(field, "missing required key")
+        if value is None is default:
+            out[name] = None
+        elif isinstance(check, dict):
+            out[name] = _walk(value, check, field)
+        elif check in CHECKS:
+            out[name] = CHECKS[check](value, field, **bounds)
+        else:
+            out[name] = check(value, field, out, **bounds)
+    return out
+
+
+def _shape(value, path: str, section: dict, arity=None) -> list[int]:
+    """A list of ``arity`` positive dims; a layer's arity is its group's."""
     if not isinstance(value, list) or not value:
         raise ConfigError(path, f"expected a non-empty list of dims, got {value!r}")
-    dims = tuple(check_integer(d, f"{path}[{i}]", lo=1) for i, d in enumerate(value))
-    if arity is not None and len(dims) != arity:
+    dims = [check_integer(d, f"{path}[{i}]", lo=1) for i, d in enumerate(value)]
+    if arity is None:
+        arity = 1 if section["group"] == Group.VECTOR_NORM.value else 2
+    if len(dims) != arity:
         raise ConfigError(path, f"expected {arity} dims, got {len(dims)}")
     return dims
 
 
-def _parse_task(section, path: str = "task") -> dict:
+def _radius_order(lo: float, hi: float, path: str) -> list[float]:
+    if lo > hi:
+        raise ConfigError(path, f"sigma_lo {lo} > sigma_hi {hi}")
+    return [lo, hi]
+
+
+def _radii(value, path: str, _noise) -> list[float]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(path, "expected [sigma_lo, sigma_hi]")
+    return _radius_order(*(check_number(r, f"{path}[{i}]", lo=0.0) for i, r in enumerate(value)), path)
+
+
+def _layer_name(value, path: str, _layer) -> str:
+    return check_layer_name(check_string(value, path), path)
+
+
+def _layers(value, path: str, _task) -> list[dict]:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(path, "expected a non-empty list")
+    layers = []
+    for i, layer in enumerate(value):
+        layer = _walk(layer, _LAYER, f"{path}[{i}]")
+        if any(l["name"] == layer["name"] for l in layers):
+            raise ConfigError(f"{path}[{i}].name", f"duplicate layer name {layer['name']!r}")
+        _radius_order(layer["sigma_lo"], layer["sigma_hi"], f"{path}[{i}].sigma_lo")
+        layers.append(layer)
+    return layers
+
+
+# The tables of the task forms. A preset section holds exactly its layer
+# builder's parameters, besides kind, preset and the seed of the targets.
+_TASK_KINDS = ("quadratic", "mlp")
+_PRESETS = {"transformer": transformer_layers, "heterogeneous": heterogeneous_layers}
+_KIND, _SEED, _SMOOTHNESS = _key(str, choices=_TASK_KINDS), _key(int, 0), _key(float, 1.0, lo=0.0, lo_open=True)
+_MLP = dict(kind=_KIND, widths=_key(_shape, arity=3), n_samples=_key(int, 256, lo=1), dataset_seed=_SEED,
+            label_noise=_key(float, 0.0, lo=0.0), seed=_SEED,
+            noise=_key(dict(w1=_key(_radii, [0.0, 0.0]), w2=_key(_radii, [0.0, 0.0])), {}))
+_TRANSFORMER = dict(kind=_KIND, preset=_key(str, choices=_PRESETS), seed=_SEED,
+                    shape=_key(_shape, [8, 8], arity=2), smoothness=_SMOOTHNESS)
+_HETEROGENEOUS = dict(_TRANSFORMER, n_layers=_key(int, 6, lo=2), spread=_key(float, 100.0, lo=1.0),
+                      sigma_hi_base=_key(float, 0.003, lo=0.0), lo_frac=_key(float, 1.0 / 3.0, lo=0.0, hi=1.0))
+_LAYER_LIST = dict(kind=_KIND, seed=_SEED, layers=_key(_layers))
+# One layer of a layer list. Its name is unique in the list, and its
+# sigma_lo is at most its sigma_hi.
+_LAYER = dict(name=_key(_layer_name), group=_key(str, choices=[g.value for g in Group]), shape=_key(_shape),
+              sigma_lo=_key(float, 0.0, lo=0.0), sigma_hi=_key(float, 0.0, lo=0.0), smoothness=_SMOOTHNESS)
+
+
+def _parse_task(section, path: str, _top) -> dict:
+    """A task section, walked with the table its ``kind`` and ``preset`` name."""
     if not isinstance(section, dict):
         raise ConfigError(path, "expected an object")
-    kind = check_string(_require(section, "kind", path), f"{path}.kind", {"quadratic", "mlp"})
-    out: dict = {"kind": kind}
-    if kind == "mlp":
-        _check_keys(section, _MLP_KEYS, path)
-        widths = _parse_shape(_require(section, "widths", path), f"{path}.widths", arity=3)
-        out["widths"] = list(widths)
-        out["n_samples"] = check_integer(section.get("n_samples", 256), f"{path}.n_samples", lo=1)
-        out["dataset_seed"] = check_integer(section.get("dataset_seed", 0), f"{path}.dataset_seed")
-        out["label_noise"] = check_number(section.get("label_noise", 0.0), f"{path}.label_noise", lo=0.0)
-        out["seed"] = check_integer(section.get("seed", 0), f"{path}.seed")
-        noise = section.get("noise", {"w1": [0.0, 0.0], "w2": [0.0, 0.0]})
-        if not isinstance(noise, dict):
-            raise ConfigError(f"{path}.noise", "expected an object")
-        _check_keys(noise, {"w1", "w2"}, f"{path}.noise")
-        out["noise"] = {}
-        for name in ("w1", "w2"):
-            pair = noise.get(name, [0.0, 0.0])
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ConfigError(f"{path}.noise.{name}", "expected [sigma_lo, sigma_hi]")
-            lo = check_number(pair[0], f"{path}.noise.{name}[0]", lo=0.0)
-            hi = check_number(pair[1], f"{path}.noise.{name}[1]", lo=0.0)
-            if lo > hi:
-                raise ConfigError(f"{path}.noise.{name}", f"sigma_lo {lo} > sigma_hi {hi}")
-            out["noise"][name] = [lo, hi]
-        return out
-
-    # quadratic
+    if "kind" not in section:
+        raise ConfigError(f"{path}.kind", "missing required key")
+    if check_string(section["kind"], f"{path}.kind", _TASK_KINDS) == "mlp":
+        return _walk(section, _MLP, path)
     preset = section.get("preset")
-    if preset is not None:
-        preset = check_string(preset, f"{path}.preset", set(_QUAD_PRESET_KEYS))
-        _check_keys(section, _QUAD_PRESET_KEYS[preset], path)
-        out["preset"] = preset
-        out["seed"] = check_integer(section.get("seed", 0), f"{path}.seed")
-        out["shape"] = list(_parse_shape(section.get("shape", [8, 8]), f"{path}.shape", arity=2))
-        out["smoothness"] = check_number(section.get("smoothness", 1.0), f"{path}.smoothness", lo=0.0, lo_open=True)
-        if preset == "heterogeneous":
-            out["n_layers"] = check_integer(section.get("n_layers", 6), f"{path}.n_layers", lo=2)
-            out["spread"] = check_number(section.get("spread", 100.0), f"{path}.spread", lo=1.0)
-            out["sigma_hi_base"] = check_number(section.get("sigma_hi_base", 0.003), f"{path}.sigma_hi_base", lo=0.0)
-            out["lo_frac"] = check_number(section.get("lo_frac", 1.0 / 3.0), f"{path}.lo_frac", lo=0.0, hi=1.0)
-            # The top layer's upper noise radius is sigma_hi_base * spread.
-            if not math.isfinite(out["sigma_hi_base"] * out["spread"]):
-                raise ConfigError(f"{path}.sigma_hi_base", f"{out['sigma_hi_base']} times spread "
-                                  f"{out['spread']}, the top noise radius, is not finite")
-        return out
-
-    _check_keys(section, {"kind", "seed", "layers"}, path)
-    out["seed"] = check_integer(section.get("seed", 0), f"{path}.seed")
-    layers = _require(section, "layers", path)
-    if not isinstance(layers, list) or not layers:
-        raise ConfigError(f"{path}.layers", "expected a non-empty list")
-    out["layers"] = []
-    seen = set()
-    for i, layer in enumerate(layers):
-        lp = f"{path}.layers[{i}]"
-        if not isinstance(layer, dict):
-            raise ConfigError(lp, "expected an object")
-        _check_keys(layer, _LAYER_KEYS, lp)
-        name = check_string(_require(layer, "name", lp), f"{lp}.name")
-        if any(c in name for c in CSV_UNSAFE):
-            raise ConfigError(f"{lp}.name", f"{name!r}: a comma or line break would break the CSV")
-        try:
-            name.encode("utf-8")
-        except UnicodeEncodeError:
-            raise ConfigError(f"{lp}.name", f"{name!r}: UTF-8 cannot encode it, so the CSV cannot hold it") from None
-        if name in seen:
-            raise ConfigError(f"{lp}.name", f"duplicate layer name {name!r}")
-        seen.add(name)
-        group = check_string(_require(layer, "group", lp), f"{lp}.group",
-                             {g.value for g in Group})
-        arity = 1 if group == Group.VECTOR_NORM.value else 2
-        shape = _parse_shape(_require(layer, "shape", lp), f"{lp}.shape", arity=arity)
-        lo = check_number(layer.get("sigma_lo", 0.0), f"{lp}.sigma_lo", lo=0.0)
-        hi = check_number(layer.get("sigma_hi", 0.0), f"{lp}.sigma_hi", lo=0.0)
-        if lo > hi:
-            raise ConfigError(f"{lp}.sigma_lo", f"sigma_lo {lo} > sigma_hi {hi}")
-        out["layers"].append({
-            "name": name,
-            "shape": list(shape),
-            "group": group,
-            "smoothness": check_number(layer.get("smoothness", 1.0), f"{lp}.smoothness", lo=0.0, lo_open=True),
-            "sigma_lo": lo,
-            "sigma_hi": hi,
-        })
+    if preset is None:
+        return _walk(section, _LAYER_LIST, path)
+    check_string(preset, f"{path}.preset", _PRESETS)
+    out = _walk(section, _HETEROGENEOUS if preset == "heterogeneous" else _TRANSFORMER, path)
+    # The top layer's upper noise radius is sigma_hi_base * spread.
+    if preset == "heterogeneous" and not math.isfinite(out["sigma_hi_base"] * out["spread"]):
+        raise ConfigError(f"{path}.sigma_hi_base", f"{out['sigma_hi_base']} times spread "
+                          f"{out['spread']}, the top noise radius, is not finite")
     return out
 
 
-def _parse_optimizer(section, total_steps: int, path: str = "optimizer") -> tuple[str, str, LantonConfig]:
+def _parse_optimizer(section, path: str, top: dict) -> tuple[str, str, LantonConfig]:
     if not isinstance(section, dict):
         raise ConfigError(path, "expected an object")
     _check_keys(section, {"kind", "mode"} | {f.name for f in OPTIONS}, path)
@@ -276,7 +274,7 @@ def _parse_optimizer(section, total_steps: int, path: str = "optimizer") -> tupl
     mode = check_string(section.get("mode", "raw"), f"{path}.mode", MODES)
     options = {k: v for k, v in section.items() if k not in ("kind", "mode")}
     try:
-        return kind, mode, LantonConfig(total_steps=total_steps, **options)
+        return kind, mode, LantonConfig(total_steps=top["total_steps"], **options)
     except ConfigError as exc:
         raise ConfigError(f"{path}.{exc.field}", exc.message) from None
 
@@ -303,35 +301,25 @@ def parse_config(text: str) -> ExperimentConfig:
     return _parse_document(_load_document(text))
 
 
+def _seed_list(value, path: str, _top) -> tuple:
+    # ExperimentConfig checks each seed, after the other keys.
+    if not isinstance(value, list):
+        raise ConfigError(path, "expected a non-empty list of integers")
+    return tuple(value)
+
+
+_TOP = dict(task=_key(_parse_task), total_steps=_key(int, 1000, lo=1), optimizer=_key(_parse_optimizer),
+            seeds=_key(_seed_list, [0]),
+            telemetry=_key({f.name: _key(bool, f.default) for f in fields(TelemetryFlags)}, {}),
+            output_path=_key(str, "runs/run"), loss_threshold=_key(float, None))
+
+
 def _parse_document(raw: dict) -> ExperimentConfig:
     """The typed config of a decoded config document. ``raw`` is only read:
     the result shares no mutable object with it, and it is left unchanged."""
-    _check_keys(raw, _TOP_KEYS, "")
-    task_section = _parse_task(_require(raw, "task", ""))
-    total_steps = check_integer(raw.get("total_steps", 1000), "total_steps", lo=1)
-    kind, mode, lanton = _parse_optimizer(_require(raw, "optimizer", ""), total_steps)
-    seeds = raw.get("seeds", [0])
-    if not isinstance(seeds, list):
-        raise ConfigError("seeds", "expected a non-empty list of integers")
-    tele_raw = raw.get("telemetry", {})
-    if not isinstance(tele_raw, dict):
-        raise ConfigError("telemetry", "expected an object")
-    _check_keys(tele_raw, {f.name for f in fields(TelemetryFlags)}, "telemetry")
-    telemetry = TelemetryFlags(**{k: check_boolean(v, f"telemetry.{k}") for k, v in tele_raw.items()})
-    output_path = check_string(raw.get("output_path", "runs/run"), "output_path")
-    threshold = raw.get("loss_threshold", None)
-    if threshold is not None:
-        threshold = check_number(threshold, "loss_threshold")
-    return ExperimentConfig(
-        task_section=task_section,
-        optimizer_kind=kind,
-        mode=mode,
-        lanton=lanton,
-        seeds=tuple(seeds),
-        telemetry=telemetry,
-        output_path=output_path,
-        loss_threshold=threshold,
-    )
+    top = _walk(raw, _TOP, "")
+    return ExperimentConfig(top["task"], *top["optimizer"], top["seeds"], TelemetryFlags(**top["telemetry"]),
+                            top["output_path"], top["loss_threshold"])
 
 
 def canonical_config(cfg: ExperimentConfig) -> dict:
@@ -470,11 +458,15 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1):
     ``cfg.seeds`` have ended, and ``summary.json`` after the last. An
     exception from a seed reaches the caller with the CSVs of the seeds
     before it written and no ``summary.json``. An ``output_path`` that is a
-    file, or lies under one, raises a ``ConfigError`` naming it.
+    file, or lies under one, raises a ``ConfigError`` naming it; so does a
+    task too large to build in memory, before any file is written.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    task = build_task(cfg.task_section)
+    try:
+        task = build_task(cfg.task_section)
+    except MemoryError as exc:
+        raise ConfigError("task", f"too large to build: {str(exc) or 'out of memory'}") from None
     outdir = cfg.output_path
     try:
         os.makedirs(outdir, exist_ok=True)

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .checks import ConfigError, check_boolean, check_integer, check_number, check_string
+from .checks import CHECKS, ConfigError, check_integer
 from .lmo import lmo
 from .norms import Group, dual_norm
 
@@ -55,6 +55,7 @@ __all__ = [
     "BASELINE_KINDS",
     "MODES",
     "CSV_UNSAFE",
+    "check_layer_name",
 ]
 
 BASELINE_KINDS = ("fixed_rate_lmo", "signum", "sgd")
@@ -63,6 +64,17 @@ MODES = ("raw", "practical")
 # Characters a layer name must not hold: the name is a field of each
 # telemetry CSV row, so a comma or a line break would split the row.
 CSV_UNSAFE = ",\n\r"
+
+
+def check_layer_name(name: str, path: str = "name") -> str:
+    """``name``, if a CSV row can hold it as a field; else a ConfigError at ``path``."""
+    if any(c in name for c in CSV_UNSAFE):
+        raise ConfigError(path, f"{name!r}: a comma or line break would break the CSV")
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ConfigError(path, f"{name!r}: UTF-8 cannot encode it, so the CSV cannot hold it") from None
+    return name
 
 
 class GradientError(ValueError):
@@ -79,12 +91,7 @@ class LayerSpec:
     smoothness: float | None = None
 
     def __post_init__(self):
-        if any(c in self.name for c in CSV_UNSAFE):
-            raise ValueError(f"layer {self.name!r}: a comma or line break would break the CSV")
-        try:
-            self.name.encode("utf-8")
-        except UnicodeEncodeError:
-            raise ValueError(f"layer {self.name!r}: UTF-8 cannot encode it, so the CSV cannot hold it") from None
+        check_layer_name(self.name)
         if any(d < 1 for d in self.shape):
             raise ValueError(f"layer {self.name}: dims must be >= 1, got {self.shape}")
         if self.group is Group.VECTOR_NORM and len(self.shape) != 1:
@@ -100,9 +107,6 @@ def _option(json_type: type, default, **bounds):
     its JSON type (float, int, bool or str), its default and the bounds that
     type's check takes."""
     return field(default=default, metadata={"type": json_type, "bounds": bounds})
-
-
-_CHECKS = {float: check_number, int: check_integer, bool: check_boolean, str: check_string}
 
 
 @dataclass
@@ -139,8 +143,7 @@ class LantonConfig:
             value = getattr(self, f.name)
             if f.name == "alpha" and value is None:
                 value = 1.0 - self.beta1
-            check = _CHECKS[f.metadata["type"]]
-            setattr(self, f.name, check(value, f.name, **f.metadata["bounds"]))
+            setattr(self, f.name, CHECKS[f.metadata["type"]](value, f.name, **f.metadata["bounds"]))
         if self.eta_min > self.eta_max:
             raise ConfigError("eta_min", f"eta_min {self.eta_min} > eta_max {self.eta_max}")
         if self.warmup_steps >= self.total_steps:

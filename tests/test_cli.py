@@ -686,6 +686,39 @@ def test_sweep_rejects_a_label_with_a_path_separator(tmp_path, capsys, monkeypat
     assert not list(tmp_path.rglob("seed_0.csv"))
 
 
+def test_sweep_takes_a_config_nested_deeper_than_deepcopy_can_copy(tmp_path, capsys):
+    # The decoder takes 700 levels; copy.deepcopy gives up near 500. A sweep
+    # copies only the dicts on each grid path, so the parser names the field.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"task": {"kind": "quadratic", "preset": "transformer", "shape": [0]},
+                                  "optimizer": {}}).replace("[0]", "[" * 700 + "1" + "]" * 700))
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"optimizer.beta1": [0.9]}))
+    assert main(["sweep", str(config), "--grid", str(grid), "--out", str(tmp_path / "run")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert (err["error"], err["field"]) == ("config", "task.shape[0]")
+    assert not (tmp_path / "run").exists()
+
+
+# Each task asks for about 800 TB, more than a 47-bit address space holds,
+# so the allocation fails at once whatever the kernel's overcommit setting.
+@pytest.mark.parametrize("task", [
+    pytest.param({"kind": "quadratic", "preset": "transformer", "shape": [10**7, 10**7]}, id="transformer"),
+    pytest.param({"kind": "mlp", "widths": [8, 3, 1], "n_samples": 10**13}, id="mlp"),
+])
+def test_task_too_large_to_build_named(tmp_path, capsys, task):
+    # A config error naming the task and the allocation, and no run directory.
+    assert main(["run", _write_config(tmp_path, task=task)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert (err["error"], err["field"]) == ("config", "task")
+    assert "Unable to allocate" in err["message"]
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("command", ["diagnose", "compare"])
 @pytest.mark.parametrize("flag,value", [("--seed-override", "7"), ("--out", "elsewhere")])
 @pytest.mark.parametrize("place", ["before", "after"])

@@ -10,6 +10,8 @@ explicit layer list, the MLP) and every optimizer kind, with each optional
 key present or left to its default.
 """
 
+import copy
+import dataclasses
 import io
 import json
 import math
@@ -24,7 +26,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import diagnostics_reference
-from lanton import diagnostics
+from lanton import diagnostics, harness
 from lanton.cli import main
 from lanton.diagnostics import BoundParams, alpha_ratio_envelope, h_bounds_check, noise_range_estimate
 from lanton.harness import (
@@ -179,6 +181,27 @@ def test_echo_round_trips(raw):
     again = parse_config(echo)
     assert again == cfg
     assert _echo(again) == echo
+
+
+def _containers(obj):
+    """Every dict and list reachable from ``obj`` through dicts, lists,
+    tuples and dataclass fields."""
+    if isinstance(obj, (dict, list)):
+        yield obj
+    children = (obj.values() if isinstance(obj, dict) else obj if isinstance(obj, (list, tuple))
+                else vars(obj).values() if dataclasses.is_dataclass(obj) else ())
+    for child in children:
+        yield from _containers(child)
+
+
+@given(configs())
+def test_parse_leaves_the_document_unchanged_and_unshared(raw):
+    # A sweep parses each grid combination from a document that shares all
+    # but the edited dicts with the base config and the other combinations.
+    before = copy.deepcopy(raw)
+    cfg = harness._parse_document(raw)
+    assert raw == before
+    assert not {id(c) for c in _containers(raw)} & {id(c) for c in _containers(cfg)}
 
 
 @given(configs())
