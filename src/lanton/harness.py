@@ -217,14 +217,14 @@ def _layer_name(value, path: str, _layer) -> str:
 def _layers(value, path: str, _task) -> list[dict]:
     if not isinstance(value, list) or not value:
         raise ConfigError(path, "expected a non-empty list")
-    layers = []
+    layers = {}
     for i, layer in enumerate(value):
         layer = _walk(layer, _LAYER, f"{path}[{i}]")
-        if any(l["name"] == layer["name"] for l in layers):
+        if layer["name"] in layers:
             raise ConfigError(f"{path}[{i}].name", f"duplicate layer name {layer['name']!r}")
         _radius_order(layer["sigma_lo"], layer["sigma_hi"], f"{path}[{i}].sigma_lo")
-        layers.append(layer)
-    return layers
+        layers[layer["name"]] = layer
+    return list(layers.values())
 
 
 # The tables of the task forms. A preset section holds exactly its layer
