@@ -42,7 +42,6 @@ from .optimizer import (
     needs_twins,
 )
 from .tasks import (
-    DatasetSpec,
     MlpTask,
     NoiseProfile,
     gen_dataset,
@@ -145,12 +144,6 @@ Row t is step t, and every step lists every layer."""
 # config parsing
 
 
-def _check_keys(obj: dict, allowed, path: str) -> None:
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
-
-
 _REQUIRED = object()
 
 
@@ -168,7 +161,9 @@ def _walk(section, table: dict, path: str) -> dict:
     ``table`` maps each key, in the order they are checked, to its ``_key``."""
     if not isinstance(section, dict):
         raise ConfigError(path, "expected an object")
-    _check_keys(section, table, path)
+    for key in section:
+        if key not in table:
+            raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
     out = {}
     for name, (check, default, bounds) in table.items():
         field = f"{path}.{name}" if path else name
@@ -192,7 +187,7 @@ def _shape(value, path: str, section: dict, arity=None) -> list[int]:
         raise ConfigError(path, f"expected a non-empty list of dims, got {value!r}")
     dims = [check_integer(d, f"{path}[{i}]", lo=1) for i, d in enumerate(value)]
     if arity is None:
-        arity = 1 if section["group"] == Group.VECTOR_NORM.value else 2
+        arity = Group(section["group"]).rank
     if len(dims) != arity:
         raise ConfigError(path, f"expected {arity} dims, got {len(dims)}")
     return dims
@@ -211,7 +206,7 @@ def _radii(value, path: str, _noise) -> list[float]:
 
 
 def _layer_name(value, path: str, _layer) -> str:
-    return check_layer_name(check_string(value, path), path)
+    return check_layer_name(value, path)
 
 
 def _layers(value, path: str, _task) -> list[dict]:
@@ -266,19 +261,6 @@ def _parse_task(section, path: str, _top) -> dict:
     return out
 
 
-def _parse_optimizer(section, path: str, top: dict) -> tuple[str, str, LantonConfig]:
-    if not isinstance(section, dict):
-        raise ConfigError(path, "expected an object")
-    _check_keys(section, {"kind", "mode"} | {f.name for f in OPTIONS}, path)
-    kind = check_string(section.get("kind", "lanton"), f"{path}.kind", OPTIMIZER_KINDS)
-    mode = check_string(section.get("mode", "raw"), f"{path}.mode", MODES)
-    options = {k: v for k, v in section.items() if k not in ("kind", "mode")}
-    try:
-        return kind, mode, LantonConfig(total_steps=top["total_steps"], **options)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}.{exc.field}", exc.message) from None
-
-
 def _load_document(text: str, field: str = "<document>") -> dict:
     """The top-level object of a JSON document, or a ConfigError at ``field``."""
     try:
@@ -308,7 +290,10 @@ def _seed_list(value, path: str, _top) -> tuple:
     return tuple(value)
 
 
-_TOP = dict(task=_key(_parse_task), total_steps=_key(int, 1000, lo=1), optimizer=_key(_parse_optimizer),
+# The optimizer section: the kind and mode, then every LantonConfig option.
+_OPTIMIZER = dict(kind=_key(str, "lanton", choices=OPTIMIZER_KINDS), mode=_key(str, "raw", choices=MODES),
+                  **{f.name: _key(f.metadata["type"], f.default, **f.metadata["bounds"]) for f in OPTIONS})
+_TOP = dict(task=_key(_parse_task), total_steps=_key(int, 1000, lo=1), optimizer=_key(_OPTIMIZER),
             seeds=_key(_seed_list, [0]),
             telemetry=_key({f.name: _key(bool, f.default) for f in fields(TelemetryFlags)}, {}),
             output_path=_key(str, "runs/run"), loss_threshold=_key(float, None))
@@ -318,7 +303,15 @@ def _parse_document(raw: dict) -> ExperimentConfig:
     """The typed config of a decoded config document. ``raw`` is only read:
     the result shares no mutable object with it, and it is left unchanged."""
     top = _walk(raw, _TOP, "")
-    return ExperimentConfig(top["task"], *top["optimizer"], top["seeds"], TelemetryFlags(**top["telemetry"]),
+    options = top["optimizer"]
+    kind, mode = options.pop("kind"), options.pop("mode")
+    try:
+        lanton = LantonConfig(top["total_steps"], **options)
+    except ConfigError as exc:
+        # Every option passed the walk, so this is a rule across keys:
+        # eta_min <= eta_max, or warmup_steps < total_steps.
+        raise ConfigError(f"optimizer.{exc.field}", exc.message) from None
+    return ExperimentConfig(top["task"], kind, mode, lanton, top["seeds"], TelemetryFlags(**top["telemetry"]),
                             top["output_path"], top["loss_threshold"])
 
 
@@ -362,17 +355,11 @@ def build_task(task_section: dict):
     layers = task_layers(task_section)
     if task_section["kind"] != "mlp":
         return layered_quadratic(layers, task_section["seed"])
-    widths = task_section["widths"]
-    spec = DatasetSpec(
-        n_samples=task_section["n_samples"],
-        input_dim=widths[0],
-        output_dim=widths[2],
-        teacher_hidden=widths[1],
-        label_noise=task_section["label_noise"],
-    )
+    widths = tuple(task_section["widths"])
     return MlpTask(
-        widths=tuple(widths),
-        dataset=gen_dataset(spec, task_section["dataset_seed"]),
+        widths=widths,
+        dataset=gen_dataset(widths, task_section["n_samples"], task_section["label_noise"],
+                            task_section["dataset_seed"]),
         noise=NoiseProfile({layer.name: radii for layer, radii in layers}),
         seed=task_section["seed"],
     )
@@ -455,11 +442,13 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1):
     gradient aborts that seed's run at the offending step and the remaining
     seeds continue. ``config.json`` is written before the first seed runs,
     each ``seed_<s>.csv`` as soon as that seed and every seed before it in
-    ``cfg.seeds`` have ended, and ``summary.json`` after the last. An
-    exception from a seed reaches the caller with the CSVs of the seeds
-    before it written and no ``summary.json``. An ``output_path`` that is a
-    file, or lies under one, raises a ``ConfigError`` naming it; so does a
-    task too large to build in memory, before any file is written.
+    ``cfg.seeds`` have ended, and ``summary.json`` after the last. A seed
+    that raises does not stop the others: every other seed still runs and
+    writes its CSV, no ``summary.json`` is written, and then the first
+    failing seed's exception reaches the caller, its message prefixed with
+    ``seed <s>: ``. An ``output_path`` that is a file, or lies under one,
+    raises a ``ConfigError`` naming it; so does a task too large to build
+    in memory, before any file is written.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -473,14 +462,29 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1):
     except (FileExistsError, NotADirectoryError):
         raise ConfigError("output_path", f"{outdir!r}: a file is in the way of the run directory") from None
     _write_text_atomic(os.path.join(outdir, "config.json"), _json_text(canonical_config(cfg)) + "\n")
-    records_by_seed, per_seed = {}, []
+
+    def outcome(seed):
+        # A seed's exception is its result, so that the other seeds run on.
+        try:
+            return execute_run(cfg, seed, task=task)
+        except Exception as exc:
+            return exc
+
+    records_by_seed, per_seed, failures = {}, [], []
     # A pool starts no thread before its first task, so a serial run starts none.
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = (map if workers == 1 else pool.map)(lambda s: execute_run(cfg, s, task=task), cfg.seeds)
-        for seed, (records, summary) in zip(cfg.seeds, results):
+        for seed, result in zip(cfg.seeds, (map if workers == 1 else pool.map)(outcome, cfg.seeds)):
+            if isinstance(result, Exception):
+                failures.append((seed, result))
+                continue
+            records, summary = result
             emit_metrics(records, seed_csv(outdir, seed))
             records_by_seed[seed] = records
             per_seed.append(summary)
+    if failures:
+        seed, exc = failures[0]
+        exc.args = (f"seed {seed}: {exc}",)
+        raise exc
     summary = {
         "task_signature": task_signature(cfg.task_section),
         "optimizer": {"kind": cfg.optimizer_kind, "mode": cfg.mode},

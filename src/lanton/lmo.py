@@ -138,15 +138,13 @@ def lmo(group: Group, b, ns_steps: int = DEFAULT_NS_STEPS, oracle: bool = False)
     of its row-major float64 copy.
     """
     b = np.asarray(b, dtype=np.float64, order="C")
+    if b.ndim != group.rank:
+        raise ValueError(f"group {group.value} expects {group.rank} dims, got shape {b.shape}")
     if group is Group.VECTOR_NORM:
-        if b.ndim != 1:
-            raise ValueError(f"vector_norm group expects a vector, got shape {b.shape}")
         nrm = float(np.linalg.norm(b))
         if nrm == 0.0:
             return np.zeros_like(b)
         return -math.sqrt(b.shape[0]) * b / nrm
-    if b.ndim != 2:
-        raise ValueError(f"group {group.value} expects a matrix, got shape {b.shape}")
     if group is Group.EMBEDDING_HEAD:
         return -np.sign(b) / b.shape[1]
     # HIDDEN

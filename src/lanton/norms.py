@@ -41,6 +41,11 @@ class Group(Enum):
     EMBEDDING_HEAD = "embedding_head"
     VECTOR_NORM = "vector_norm"
 
+    @property
+    def rank(self) -> int:
+        """The number of dims of the group's layers: 1 for vectors, else 2."""
+        return 1 if self is Group.VECTOR_NORM else 2
+
 
 def nuclear_norm(a) -> float:
     """Sum of singular values (dual of the spectral norm)."""
@@ -61,7 +66,7 @@ def rms_norm(w) -> float:
 
 def _check_group_shape(group: Group, x) -> np.ndarray:
     """x as a row-major float64 array of the group's rank, in one pass."""
-    return as_vector(x) if group is Group.VECTOR_NORM else as_matrix(x)
+    return as_vector(x) if group.rank == 1 else as_matrix(x)
 
 
 def dual_norm(group: Group, x, embedding_dual: str = "default") -> float:

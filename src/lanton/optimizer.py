@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .checks import CHECKS, ConfigError, check_integer
+from .checks import CHECKS, ConfigError, check_integer, check_string
 from .lmo import lmo
 from .norms import Group, dual_norm
 
@@ -67,7 +67,9 @@ CSV_UNSAFE = ",\n\r"
 
 
 def check_layer_name(name: str, path: str = "name") -> str:
-    """``name``, if a CSV row can hold it as a field; else a ConfigError at ``path``."""
+    """``name``, if it is a string a CSV row can hold as a field; else a
+    ConfigError at ``path``."""
+    check_string(name, path)
     if any(c in name for c in CSV_UNSAFE):
         raise ConfigError(path, f"{name!r}: a comma or line break would break the CSV")
     try:
@@ -94,10 +96,8 @@ class LayerSpec:
         check_layer_name(self.name)
         if any(d < 1 for d in self.shape):
             raise ValueError(f"layer {self.name}: dims must be >= 1, got {self.shape}")
-        if self.group is Group.VECTOR_NORM and len(self.shape) != 1:
-            raise ValueError(f"layer {self.name}: vector_norm group needs a 1-D shape")
-        if self.group is not Group.VECTOR_NORM and len(self.shape) != 2:
-            raise ValueError(f"layer {self.name}: group {self.group.value} needs a 2-D shape")
+        if len(self.shape) != self.group.rank:
+            raise ValueError(f"layer {self.name}: group {self.group.value} needs a {self.group.rank}-D shape")
         if self.smoothness is not None and self.smoothness < 0:
             raise ValueError(f"layer {self.name}: smoothness must be >= 0")
 

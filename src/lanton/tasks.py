@@ -31,7 +31,6 @@ from .optimizer import LayerSpec
 __all__ = [
     "NoiseProfile",
     "QuadraticTask",
-    "DatasetSpec",
     "Dataset",
     "MlpTask",
     "quadratic_value_grad",
@@ -108,21 +107,6 @@ class QuadraticTask:
 
     def initial_params(self) -> dict[str, np.ndarray]:
         return {spec.name: np.zeros(spec.shape) for spec in self.layers}
-
-
-@dataclass(frozen=True)
-class DatasetSpec:
-    n_samples: int
-    input_dim: int
-    output_dim: int
-    teacher_hidden: int
-    label_noise: float = 0.0
-
-    def __post_init__(self):
-        if min(self.n_samples, self.input_dim, self.output_dim, self.teacher_hidden) < 1:
-            raise ValueError("dataset sizes must be >= 1")
-        if self.label_noise < 0:
-            raise ValueError("label_noise must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -300,15 +284,21 @@ def perturb_gradients(layers, exact_grads, noise: NoiseProfile,
     return (outs[0], outs[1]) if twin else outs[0]
 
 
-def gen_dataset(spec: DatasetSpec, seed: int) -> Dataset:
-    """Synthetic regression data from a seeded tanh teacher network."""
+def gen_dataset(widths, n_samples: int, label_noise: float, seed: int) -> Dataset:
+    """Synthetic regression data from a seeded tanh teacher network with the
+    MLP's (input, hidden, output) widths."""
+    i, h, o = widths
+    if min(n_samples, i, h, o) < 1:
+        raise ValueError("dataset sizes must be >= 1")
+    if label_noise < 0:
+        raise ValueError("label_noise must be >= 0")
     rng = _stream(seed, _PURPOSE_DATA, 0)
-    x = rng.standard_normal((spec.n_samples, spec.input_dim))
-    t1 = rng.standard_normal((spec.teacher_hidden, spec.input_dim)) / math.sqrt(spec.input_dim)
-    t2 = rng.standard_normal((spec.output_dim, spec.teacher_hidden)) / math.sqrt(spec.teacher_hidden)
+    x = rng.standard_normal((n_samples, i))
+    t1 = rng.standard_normal((h, i)) / math.sqrt(i)
+    t2 = rng.standard_normal((o, h)) / math.sqrt(h)
     y = np.tanh(x @ t1.T) @ t2.T
-    if spec.label_noise > 0.0:
-        y = y + spec.label_noise * rng.standard_normal(y.shape)
+    if label_noise > 0.0:
+        y = y + label_noise * rng.standard_normal(y.shape)
     return Dataset(features=x, labels=y)
 
 

@@ -796,21 +796,22 @@ class TestRunExperiment:
         assert kept == clean["seed_1.csv"].decode().splitlines()[:1 + 3 * 3]
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_failing_seed_keeps_the_seeds_before_it(self, tmp_path, monkeypatch, workers):
+    def test_failing_seed_keeps_the_other_seeds(self, tmp_path, monkeypatch, workers):
         run_experiment(self._cfg(tmp_path / "clean", seeds=[0, 1, 2], total_steps=10))
         cfg = self._cfg(tmp_path, seeds=[0, 1, 2], total_steps=10)
         exact_execute_run = harness.execute_run
 
         def raise_on_seed_1(cfg, seed, task=None):
             if seed == 1:
-                raise RuntimeError("seed 1 failed")
+                raise RuntimeError("no convergence")
             return exact_execute_run(cfg, seed, task=task)
 
         monkeypatch.setattr(harness, "execute_run", raise_on_seed_1)
-        with pytest.raises(RuntimeError, match="seed 1 failed"):
+        with pytest.raises(RuntimeError, match="^seed 1: no convergence$"):
             run_experiment(cfg, workers=workers)
-        outdir = tmp_path / "run"
-        assert (outdir / "seed_0.csv").read_bytes() == (tmp_path / "clean" / "run" / "seed_0.csv").read_bytes()
+        outdir, clean = tmp_path / "run", tmp_path / "clean" / "run"
+        for seed in (0, 2):
+            assert (outdir / f"seed_{seed}.csv").read_bytes() == (clean / f"seed_{seed}.csv").read_bytes()
         assert not (outdir / "seed_1.csv").exists()
         assert not (outdir / "summary.json").exists()
 

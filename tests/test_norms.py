@@ -1,11 +1,15 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from lanton.checks import ConfigError
+from lanton.harness import parse_config
 from lanton.linalg import frobenius_norm
 from lanton.lmo import lmo
 from lanton.norms import Group, dual_norm, nuclear_norm, primal_norm, rms_norm
+from lanton.optimizer import LayerSpec
 
 from jacobi import jacobi_svd
 
@@ -127,3 +131,24 @@ def test_primal_norm_of_lmo_output_is_one(group):
         b = _random_element(group, rng)
         out = lmo(group, b, oracle=True)
         assert primal_norm(group, out) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 2), (3, 2, 2)])
+@pytest.mark.parametrize("group,rank", [(Group.HIDDEN, 2), (Group.EMBEDDING_HEAD, 2), (Group.VECTOR_NORM, 1)])
+def test_every_reader_takes_exactly_the_shapes_of_the_group_rank(group, rank, shape):
+    doc = {"task": {"kind": "quadratic", "layers": [{"name": "w", "group": group.value, "shape": list(shape)}]},
+           "optimizer": {}, "total_steps": 2}
+    x = np.ones(shape)
+    readers = [lambda: LayerSpec("w", shape, group), lambda: parse_config(json.dumps(doc)),
+               lambda: dual_norm(group, x), lambda: lmo(group, x)]
+    assert group.rank == rank
+    for read in readers:
+        if len(shape) == rank:
+            read()
+        else:
+            with pytest.raises(ValueError):
+                read()
+    if len(shape) != rank:
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(doc))
+        assert exc.value.field == "task.layers[0].shape"

@@ -435,6 +435,13 @@ def test_layer_spec_rejects_csv_unsafe_name(name):
         LayerSpec(name, (2, 2), Group.HIDDEN)
 
 
+@pytest.mark.parametrize("name", [3, None, b"ab"])
+def test_layer_spec_rejects_a_name_that_is_not_a_string(name):
+    with pytest.raises(ConfigError) as exc:
+        LayerSpec(name, (2, 2), Group.HIDDEN)
+    assert (exc.value.field, exc.value.message) == ("name", f"expected a string, got {name!r}")
+
+
 def test_config_validation():
     with pytest.raises(ConfigError) as exc:
         _cfg(beta2=1.0)

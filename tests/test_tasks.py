@@ -11,7 +11,6 @@ from lanton.norms import Group, dual_norm
 from lanton.optimizer import LayerSpec
 from lanton.tasks import (
     Dataset,
-    DatasetSpec,
     MlpTask,
     NoiseProfile,
     QuadraticTask,
@@ -187,7 +186,7 @@ class TestStochasticGrad:
 
 class TestMlp:
     def _task(self, widths=(2, 2, 1), n=16, seed=0, label_noise=0.0):
-        ds = gen_dataset(DatasetSpec(n, widths[0], widths[2], widths[1], label_noise), seed)
+        ds = gen_dataset(widths, n, label_noise, seed)
         return MlpTask(widths=widths, dataset=ds,
                        noise=NoiseProfile({"w1": (0.0, 0.0), "w2": (0.0, 0.0)}), seed=seed)
 
@@ -291,20 +290,18 @@ class TestMlp:
 
 class TestGenDataset:
     def test_same_seed_identical(self):
-        spec = DatasetSpec(32, 3, 2, 5, label_noise=0.1)
-        d1 = gen_dataset(spec, 7)
-        d2 = gen_dataset(spec, 7)
+        d1 = gen_dataset((3, 5, 2), 32, 0.1, 7)
+        d2 = gen_dataset((3, 5, 2), 32, 0.1, 7)
         assert np.array_equal(d1.features, d2.features)
         assert np.array_equal(d1.labels, d2.labels)
 
     def test_seed_changes_data(self):
-        spec = DatasetSpec(32, 3, 2, 5)
-        assert not np.array_equal(gen_dataset(spec, 1).features, gen_dataset(spec, 2).features)
+        assert not np.array_equal(gen_dataset((3, 5, 2), 32, 0.0, 1).features,
+                                  gen_dataset((3, 5, 2), 32, 0.0, 2).features)
 
     def test_zero_label_noise_labels_are_teacher_outputs(self):
         # replay the generator stream: features, then the two teacher weights
-        spec = DatasetSpec(16, 3, 2, 4, label_noise=0.0)
-        ds = gen_dataset(spec, 9)
+        ds = gen_dataset((3, 4, 2), 16, 0.0, 9)
         g = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=9, spawn_key=(4, 0))))
         x = g.standard_normal((16, 3))
         t1 = g.standard_normal((4, 3)) / math.sqrt(3)
