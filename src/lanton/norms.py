@@ -41,10 +41,11 @@ class Group(Enum):
     EMBEDDING_HEAD = "embedding_head"
     VECTOR_NORM = "vector_norm"
 
-    @property
-    def rank(self) -> int:
-        """The number of dims of the group's layers: 1 for vectors, else 2."""
-        return 1 if self is Group.VECTOR_NORM else 2
+    def __init__(self, value: str):
+        # rank: the number of dims of the group's layers, 1 for vectors, else
+        # 2. A member attribute, not a property, as the norms and oracles read
+        # it on every call.
+        self.rank = 1 if value == "vector_norm" else 2
 
 
 def nuclear_norm(a) -> float:

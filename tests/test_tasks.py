@@ -299,6 +299,15 @@ class TestGenDataset:
         assert not np.array_equal(gen_dataset((3, 5, 2), 32, 0.0, 1).features,
                                   gen_dataset((3, 5, 2), 32, 0.0, 2).features)
 
+    @pytest.mark.parametrize("widths,n,label_noise,message", [
+        ((3, 0, 2), 4, 0.0, "dataset sizes must be >= 1"),
+        ((3, 5, 2), 0, 0.0, "dataset sizes must be >= 1"),
+        ((3, 5, 2), 4, -0.1, "label_noise must be >= 0"),
+    ])
+    def test_bad_sizes_and_label_noise_raise(self, widths, n, label_noise, message):
+        with pytest.raises(ValueError, match=message):
+            gen_dataset(widths, n, label_noise, 0)
+
     def test_zero_label_noise_labels_are_teacher_outputs(self):
         # replay the generator stream: features, then the two teacher weights
         ds = gen_dataset((3, 4, 2), 16, 0.0, 9)
