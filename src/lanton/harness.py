@@ -10,6 +10,7 @@ seed and no wall-clock data reaches the files.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -18,7 +19,6 @@ import os
 import statistics
 import time
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
@@ -226,7 +226,8 @@ def _layers(value, path: str, _task) -> list[dict]:
 # builder's parameters, besides kind, preset and the seed of the targets.
 _TASK_KINDS = ("quadratic", "mlp")
 _PRESETS = {"transformer": transformer_layers, "heterogeneous": heterogeneous_layers}
-_KIND, _SEED, _SMOOTHNESS = _key(str, choices=_TASK_KINDS), _key(int, 0), _key(float, 1.0, lo=0.0, lo_open=True)
+_KIND, _SEED = _key(str, choices=_TASK_KINDS), _key(int, 0, lo=0)
+_SMOOTHNESS = _key(float, 1.0, lo=0.0, lo_open=True)
 _MLP = dict(kind=_KIND, widths=_key(_shape, arity=3), n_samples=_key(int, 256, lo=1), dataset_seed=_SEED,
             label_noise=_key(float, 0.0, lo=0.0), seed=_SEED,
             noise=_key(dict(w1=_key(_radii, [0.0, 0.0]), w2=_key(_radii, [0.0, 0.0])), {}))
@@ -447,8 +448,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1):
     writes its CSV, no ``summary.json`` is written, and then the first
     failing seed's exception reaches the caller, its message prefixed with
     ``seed <s>: ``. An ``output_path`` that is a file, or lies under one,
-    raises a ``ConfigError`` naming it; so does a task too large to build
-    in memory, before any file is written.
+    raises a ``ConfigError`` naming it; so do a task too large to build in
+    memory and an MLP ``label_noise`` that overflows the labels, before any
+    file is written.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -456,6 +458,10 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1):
         task = build_task(cfg.task_section)
     except MemoryError as exc:
         raise ConfigError("task", f"too large to build: {str(exc) or 'out of memory'}") from None
+    except ConfigError as exc:
+        # A task key that only the build can check, such as a label_noise
+        # that overflows the labels.
+        raise ConfigError(f"task.{exc.field}", exc.message) from None
     outdir = cfg.output_path
     try:
         os.makedirs(outdir, exist_ok=True)
@@ -471,9 +477,14 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1):
             return exc
 
     records_by_seed, per_seed, failures = {}, [], []
-    # A pool starts no thread before its first task, so a serial run starts none.
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for seed, result in zip(cfg.seeds, (map if workers == 1 else pool.map)(outcome, cfg.seeds)):
+    with contextlib.ExitStack() as stack:
+        if workers == 1:
+            results = map(outcome, cfg.seeds)
+        else:
+            # Imported here: a serial run builds no pool and imports none of its modules.
+            from concurrent.futures import ThreadPoolExecutor
+            results = stack.enter_context(ThreadPoolExecutor(max_workers=workers)).map(outcome, cfg.seeds)
+        for seed, result in zip(cfg.seeds, results):
             if isinstance(result, Exception):
                 failures.append((seed, result))
                 continue
@@ -659,18 +670,52 @@ def _csv_lines(path) -> list[str]:
     return lines
 
 
+# The C string escaper of json.dumps's default, ensure_ascii=True.
+_escape = json.encoder.encode_basestring_ascii
+
+
 def _json_text(obj) -> str:
     """The JSON text of a document lanton writes or prints: sorted keys, a
-    two-space indent, and each non-finite float, which JSON cannot write, as null."""
-    def finite(o):
+    two-space indent, and each non-finite float, which JSON cannot write, as null.
+
+    The text is ``json.dumps(obj, sort_keys=True, indent=2)``'s, written in
+    one pass: an indent sends ``json.dumps`` to its pure-Python encoder."""
+    parts = []
+    append = parts.append
+
+    def write(o, indent):
         if isinstance(o, float):
-            return o if math.isfinite(o) else None
-        if isinstance(o, dict):
-            return {k: finite(v) for k, v in o.items()}
-        if isinstance(o, list):
-            return [finite(v) for v in o]
-        return o
-    return json.dumps(finite(obj), sort_keys=True, indent=2, allow_nan=False)
+            append(float.__repr__(o) if math.isfinite(o) else "null")
+        elif isinstance(o, str):
+            append(_escape(o))
+        elif isinstance(o, dict) and o:
+            inner = indent + "  "
+            sep = "{\n" + inner
+            for k in sorted(o):
+                parts.extend((sep, _escape(k), ": "))
+                write(o[k], inner)
+                sep = ",\n" + inner
+            append("\n" + indent + "}")
+        elif isinstance(o, (list, tuple)) and o:
+            inner = indent + "  "
+            sep = "[\n" + inner
+            for v in o:
+                append(sep)
+                write(v, inner)
+                sep = ",\n" + inner
+            append("\n" + indent + "]")
+        elif o is None:
+            append("null")
+        elif isinstance(o, bool):
+            append("true" if o else "false")
+        elif isinstance(o, int):
+            append(int.__repr__(o))
+        else:
+            # An empty container; a value JSON cannot write raises TypeError.
+            append(json.dumps(o))
+
+    write(obj, "")
+    return "".join(parts)
 
 
 def _write_text_atomic(path: str, text: str) -> None:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import ConfigError
 from .linalg import require_finite
 from .norms import Group, dual_norm
 from .optimizer import LayerSpec
@@ -286,7 +287,8 @@ def perturb_gradients(layers, exact_grads, noise: NoiseProfile,
 
 def gen_dataset(widths, n_samples: int, label_noise: float, seed: int) -> Dataset:
     """Synthetic regression data from a seeded tanh teacher network with the
-    MLP's (input, hidden, output) widths."""
+    MLP's (input, hidden, output) widths. A ``label_noise`` whose noisy
+    labels overflow is a ``ConfigError`` at ``label_noise``."""
     i, h, o = widths
     if min(n_samples, i, h, o) < 1:
         raise ValueError("dataset sizes must be >= 1")
@@ -298,7 +300,11 @@ def gen_dataset(widths, n_samples: int, label_noise: float, seed: int) -> Datase
     t2 = rng.standard_normal((o, h)) / math.sqrt(h)
     y = np.tanh(x @ t1.T) @ t2.T
     if label_noise > 0.0:
-        y = y + label_noise * rng.standard_normal(y.shape)
+        # An overflow here is the ConfigError below, not a warning on stderr.
+        with np.errstate(over="ignore"):
+            y = y + label_noise * rng.standard_normal(y.shape)
+        if not np.isfinite(y).all():
+            raise ConfigError("label_noise", f"{label_noise} overflows the labels")
     return Dataset(features=x, labels=y)
 
 

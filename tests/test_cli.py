@@ -542,16 +542,22 @@ def test_run_and_sweep_name_a_file_that_is_not_utf8(tmp_path, capsys, command, n
     assert not (tmp_path / "run").exists()
 
 
+def _python(*args):
+    """A fresh interpreter that imports this lanton and prints every
+    RuntimeWarning as text on stderr, as an installed script would."""
+    src = os.path.dirname(os.path.dirname(lanton.harness.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-W", "default::RuntimeWarning", *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 def test_diverging_seed_prints_no_warning(tmp_path):
     # The loss overflows on its way to inf: the seed ends at step 30 and
     # stderr stays empty (it is kept for one JSON error object).
     config = _write_config(
         tmp_path, total_steps=40, optimizer={"kind": "sgd", "eta_min": 97.8, "eta_max": 299},
         task={"kind": "quadratic", "preset": "heterogeneous", "shape": [1, 2], "smoothness": 629.45})
-    src = os.path.dirname(os.path.dirname(lanton.harness.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-W", "default::RuntimeWarning", "-m", "lanton.cli", "run", config],
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = _python("-m", "lanton.cli", "run", config)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout)["per_seed"][0]["aborted_at"] == 30
 
@@ -717,6 +723,49 @@ def test_task_too_large_to_build_named(tmp_path, capsys, task):
     assert (err["error"], err["field"]) == ("config", "task")
     assert "Unable to allocate" in err["message"]
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("task,field,value", [
+    pytest.param({"kind": "quadratic", "preset": "transformer", "seed": -1}, "task.seed", -1, id="preset_seed"),
+    pytest.param({"kind": "quadratic", "layers": [{"name": "a", "shape": [2], "group": "vector_norm"}],
+                  "seed": -1}, "task.seed", -1, id="layer_list_seed"),
+    pytest.param({"kind": "mlp", "widths": [2, 3, 1], "seed": -2}, "task.seed", -2, id="mlp_seed"),
+    pytest.param({"kind": "mlp", "widths": [2, 3, 1], "dataset_seed": -1}, "task.dataset_seed", -1,
+                 id="dataset_seed"),
+])
+def test_negative_task_seed_rejected_before_any_file(tmp_path, capsys, task, field, value):
+    assert main(["run", _write_config(tmp_path, task=task)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "config", "field": field,
+                                        "message": f"{field}: must be >= 0, got {value}"}
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_label_noise_that_overflows_the_labels_named(tmp_path, command):
+    # One JSON error naming the key, with no numpy warning beside it on
+    # stderr, and no run directory.
+    config = _write_config(tmp_path, task={"kind": "mlp", "widths": [2, 3, 1], "label_noise": 1e308})
+    (tmp_path / "grid.json").write_text(json.dumps({"optimizer.beta1": [0.9, 0.95]}))
+    argv = ["run", config] if command == "run" else ["sweep", config, "--grid", str(tmp_path / "grid.json")]
+    proc = _python("-m", "lanton.cli", *argv)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.count("\n") == 1
+    assert json.loads(proc.stderr) == {"error": "config", "field": "task.label_noise",
+                                       "message": "task.label_noise: 1e+308 overflows the labels"}
+    assert not (tmp_path / "run").exists()
+
+
+def test_serial_run_imports_no_thread_pool(tmp_path):
+    # A serial run builds no pool, so neither importing the CLI nor running
+    # a config on one worker imports concurrent.futures.
+    config = _write_config(tmp_path, seeds=[0, 1], total_steps=3)
+    proc = _python("-c", "import sys; from lanton.cli import main; "
+                   "imported = lambda: 'concurrent.futures' in sys.modules; "
+                   f"print(imported(), main(['run', {config!r}]), imported(), file=sys.stderr)")
+    assert (proc.returncode, proc.stderr) == (0, "False 0 False\n")
+    assert (tmp_path / "run" / "summary.json").exists()
 
 
 @pytest.mark.parametrize("command", ["diagnose", "compare"])

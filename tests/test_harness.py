@@ -266,6 +266,7 @@ _PINNED_ERRORS = [
     _pin(_task("transformer", preset=1), "task.preset", "expected a string, got 1", "preset_type"),
     # the presets
     _pin(_task("transformer", seed="1"), "task.seed", "expected an integer, got '1'", "preset_seed_type"),
+    _pin(_task("transformer", seed=-1), "task.seed", "must be >= 0, got -1", "preset_seed_range"),
     _pin(_task("transformer", shape="8x8"), "task.shape", "expected a non-empty list of dims, got '8x8'",
          "preset_shape_type"),
     _pin(_task("transformer", shape=[]), "task.shape", "expected a non-empty list of dims, got []",
@@ -298,6 +299,7 @@ _PINNED_ERRORS = [
          "1e+300 times spread 10000000000.0, the top noise radius, is not finite", "top_radius_not_finite"),
     # the layer list
     _pin(_task("layers", seed=0.5), "task.seed", "expected an integer, got 0.5", "layer_list_seed_type"),
+    _pin(_task("layers", seed=-1), "task.seed", "must be >= 0, got -1", "layer_list_seed_range"),
     _pin(_task("layers", layers={"a": {}}), "task.layers", "expected a non-empty list", "layers_type"),
     _pin(_task("layers", layers=[]), "task.layers", "expected a non-empty list", "layers_empty"),
     _pin(_task("layers", layers=["a"]), "task.layers[0]", "expected an object", "layer_type"),
@@ -347,11 +349,13 @@ _PINNED_ERRORS = [
     _pin(_task("mlp", n_samples=0), "task.n_samples", "must be >= 1, got 0", "n_samples_range"),
     _pin(_task("mlp", dataset_seed="0"), "task.dataset_seed", "expected an integer, got '0'",
          "dataset_seed_type"),
+    _pin(_task("mlp", dataset_seed=-1), "task.dataset_seed", "must be >= 0, got -1", "dataset_seed_range"),
     _pin(_task("mlp", label_noise="x"), "task.label_noise", "expected a number, got 'x'",
          "label_noise_type"),
     _pin(_task("mlp", label_noise=-0.5), "task.label_noise", "must be >= 0.0, got -0.5",
          "label_noise_range"),
     _pin(_task("mlp", seed=None), "task.seed", "expected an integer, got None", "mlp_seed_type"),
+    _pin(_task("mlp", seed=-2), "task.seed", "must be >= 0, got -2", "mlp_seed_range"),
     _pin(_task("mlp", noise=[0.0, 0.0]), "task.noise", "expected an object", "noise_type"),
     _pin(_task("mlp", noise={"w1": 0.1}), "task.noise.w1", "expected [sigma_lo, sigma_hi]", "radii_type"),
     _pin(_task("mlp", noise={"w2": [0.1]}), "task.noise.w2", "expected [sigma_lo, sigma_hi]",

@@ -3,7 +3,7 @@ readers' acceptance of every run a config gives, the telemetry CSV round
 trip, the column reader against the record reader (values, errors and the
 diagnostics' reports), the LMO's optimality and duality pairing, and the
 bit-exactness of the step path's dual norm, LMO, Newton-Schulz and noise
-draws.
+draws, and the JSON text writer against json's own encoder.
 
 Generated configs cover the four task forms (the two quadratic presets, an
 explicit layer list, the MLP) and every optimizer kind, with each optional
@@ -710,3 +710,49 @@ def test_perturb_gradients_draws_the_reference_bits(data):
         assert {k: _bits_of(v) for k, v in out.items()} == {k: _bits_of(v) for k, v in ref.items()}
     for spec in specs:
         assert rngs[spec.name].random() == ref_rngs[spec.name].random()
+
+
+def _reference_json_text(obj) -> str:
+    """The text ``harness._json_text`` gave before it wrote JSON itself: each
+    non-finite float as None, then json's sorted, indented encoder."""
+    def finite(o):
+        if isinstance(o, float):
+            return o if math.isfinite(o) else None
+        if isinstance(o, dict):
+            return {k: finite(v) for k, v in o.items()}
+        if isinstance(o, list):
+            return [finite(v) for v in o]
+        return o
+    return json.dumps(finite(obj), sort_keys=True, indent=2, allow_nan=False)
+
+
+# Characters json escapes: control characters, quotes, backslashes, text
+# outside ASCII and astral-plane text (written as a surrogate pair), and lone
+# surrogates.
+_JSON_STRINGS = st.text(st.characters(codec=None, exclude_categories=())
+                        | st.sampled_from('"\\\x00\x1f\x7f\x80é€\U0001f600\ud800\udfff'), max_size=8)
+# The floats where repr switches to an exponent (1e16 and below 1e-4), and the
+# non-finite ones, beside any float.
+_JSON_FLOATS = st.floats() | st.sampled_from([
+    1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05, -0.0, 5e-324, 2.2250738585072014e-308,
+    1.7976931348623157e308, math.nan, -math.nan, math.inf, -math.inf])
+# Integers past 64 bits, where a C long would overflow, beside any integer.
+_JSON_INTS = st.integers(-2**64, 2**64) | st.sampled_from([2**63, -2**63 - 1, 2**64, -2**64])
+_JSON_LEAVES = _JSON_STRINGS | _JSON_FLOATS | _JSON_INTS | st.booleans() | st.none() | st.just([]) | st.just({})
+_JSON_DOCUMENTS = st.recursive(
+    _JSON_LEAVES, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_STRINGS, inner, max_size=4),
+    max_leaves=20)
+
+
+@given(st.dictionaries(_JSON_STRINGS, _JSON_DOCUMENTS, max_size=5))
+def test_json_text_is_the_json_encoders(document):
+    assert harness._json_text(document) == _reference_json_text(document)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, b"ab", np.int64(1)], ids=["set", "bytes", "numpy_int"])
+def test_json_text_rejects_what_json_cannot_write(value):
+    for document in (value, {"a": [1.0, value]}):
+        with pytest.raises(TypeError):
+            _reference_json_text(document)
+        with pytest.raises(TypeError):
+            harness._json_text(document)

@@ -303,6 +303,7 @@ class TestGenDataset:
         ((3, 0, 2), 4, 0.0, "dataset sizes must be >= 1"),
         ((3, 5, 2), 0, 0.0, "dataset sizes must be >= 1"),
         ((3, 5, 2), 4, -0.1, "label_noise must be >= 0"),
+        ((3, 5, 2), 64, 1e308, r"^label_noise: 1e\+308 overflows the labels$"),
     ])
     def test_bad_sizes_and_label_noise_raise(self, widths, n, label_noise, message):
         with pytest.raises(ValueError, match=message):
