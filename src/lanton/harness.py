@@ -75,6 +75,7 @@ __all__ = [
     "read_run_config",
     "read_seeds",
     "seed_csv",
+    "columns_path",
     "CSV_HEADER",
 ]
 
@@ -468,6 +469,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1):
     except (FileExistsError, NotADirectoryError):
         raise ConfigError("output_path", f"{outdir!r}: a file is in the way of the run directory") from None
     _write_text_atomic(os.path.join(outdir, "config.json"), _json_text(canonical_config(cfg)) + "\n")
+    layer_names = [spec.name for spec in task.layers]
 
     def outcome(seed):
         # A seed's exception is its result, so that the other seeds run on.
@@ -489,7 +491,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1):
                 failures.append((seed, result))
                 continue
             records, summary = result
-            emit_metrics(records, seed_csv(outdir, seed))
+            path = seed_csv(outdir, seed)
+            emit_metrics(records, path)
+            _store_columns(records, layer_names, path)
             records_by_seed[seed] = records
             per_seed.append(summary)
     if failures:
@@ -515,6 +519,12 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1):
 def seed_csv(run_dir: str, seed: int) -> str:
     """The path of one seed's telemetry CSV in a run directory."""
     return os.path.join(run_dir, f"seed_{seed}.csv")
+
+
+def columns_path(csv_path: str) -> str:
+    """The path of the columns file a run stores beside a telemetry CSV:
+    ``seed_<s>.columns`` beside ``seed_<s>.csv``."""
+    return os.path.splitext(csv_path)[0] + ".columns"
 
 
 def emit_metrics(records, path) -> None:
@@ -546,7 +556,11 @@ def read_metrics(path, layers=None, max_steps=None) -> list[RunRecord]:
     ``max_steps`` the run's ``total_steps``, which the file may fall short
     of (a seed may abort) but not exceed.
     """
-    lines = _csv_lines(path)
+    # Split on LF alone, the only line break the writer emits: a layer name
+    # may hold other characters that str.splitlines() would break at.
+    lines = _read_text(path, newline="\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"{path}: missing or unexpected header")
     records: list[RunRecord] = []
@@ -598,20 +612,18 @@ def read_metrics(path, layers=None, max_steps=None) -> list[RunRecord]:
 
 
 def read_columns(path, layers, max_steps) -> RunColumns:
-    """Read an emitted CSV straight into :class:`RunColumns`: the values
-    ``read_metrics(path, layers, max_steps)`` gives, bit for bit, without a
-    record per row.
+    """The :class:`RunColumns` of an emitted CSV:
+    ``columns_of(read_metrics(path, layers, max_steps), layers)``, bit for bit.
 
-    One pass splits the rows, transposes them and checks the layout as
-    whole columns: seven fields a row, the layer column ``layers`` once per
-    step, one step text and one loss text per step, the steps ``"0"`` to
-    ``"n-1"`` with n at most ``max_steps``, and finite losses. Any file this
-    cannot prove valid goes to ``read_metrics``, the statement of the format,
-    which raises its error, or which returns the records of a valid file
-    written in another form (a step ``01``) to build the columns from.
+    A run stores each seed's columns beside its CSV, in the file
+    ``columns_path`` names. They are returned without parsing the CSV when
+    that file holds the SHA-256 of the CSV's current bytes, lists ``layers``
+    and at most ``max_steps`` steps, and its losses are finite. Any other
+    columns file, or none, leaves the CSV to ``read_metrics``, the statement
+    of the format, whose errors are the reader's errors.
     """
     layers = tuple(layers)
-    columns = _emitted_columns(_csv_lines(path), layers, max_steps)
+    columns = _stored_columns(path, layers, max_steps)
     if columns is not None:
         return columns
     return columns_of(read_metrics(path, layers, max_steps), layers)
@@ -621,33 +633,56 @@ def columns_of(records, layers) -> RunColumns:
     """The :class:`RunColumns` of a record list, each step's rows taken in
     ``layers`` order: the one conversion from records to columns."""
     layers = tuple(layers)
-    values = np.array([[rec.layers[name] for name in layers] for rec in records], dtype=np.float64)
-    values = values.reshape(len(records), len(layers), len(LayerStats._fields)).transpose(2, 0, 1)
+    shape = (len(records), len(layers), len(LayerStats._fields))
+    stats = itertools.chain.from_iterable(rec.layers[name] for rec in records for name in layers)
+    values = np.fromiter(stats, np.float64, math.prod(shape)).reshape(shape).transpose(2, 0, 1)
     return RunColumns([rec.loss for rec in records], layers, *np.ascontiguousarray(values))
 
 
-def _emitted_columns(lines, layers, max_steps) -> RunColumns | None:
-    """The columns of a CSV's lines if they are laid out as ``emit_metrics``
-    writes a run of ``layers``, in at most ``max_steps`` steps; else None."""
-    width = len(layers)
-    if not width or len(set(layers)) != width or not lines or lines[0] != CSV_HEADER:
-        return None
-    rows = [line.split(",") for line in lines[1:]]
-    n, extra = divmod(len(rows), width)
-    if not n or extra or n > max_steps or set(map(len, rows)) != {_ROW_FIELDS}:
-        return None
-    step, loss, name, *stats = zip(*rows)
-    steps, losses = step[::width], loss[::width]
-    if (name != layers * n or steps != tuple(map(str, range(n)))
-            or any(step[j::width] != steps or loss[j::width] != losses for j in range(1, width))):
-        return None
+# The first line of a columns file. The second is a JSON header; the rest is
+# the losses, then each LayerStats column (steps x layers, row-major), all
+# little-endian float64.
+_COLUMNS_MAGIC = b"lanton-columns 1"
+
+
+def _store_columns(records, layers, path) -> None:
+    """Write the columns file of the CSV that ``emit_metrics`` wrote at
+    ``path`` from ``records``, bound to the CSV's bytes on disk by their
+    SHA-256. Each NaN is stored as ``float("nan")``, the value the CSV's
+    ``nan`` parses to, so the stored bits are those a read of the CSV gives."""
+    with open(path, "rb") as f:
+        digest = hashlib.sha256(f.read()).hexdigest()
+    columns = columns_of(records, layers)
+    values = np.concatenate([np.array(columns.losses, dtype=np.float64), *(c.ravel() for c in columns[2:])])
+    values[np.isnan(values)] = math.nan
+    header = json.dumps({"csv_sha256": digest, "layers": list(layers), "steps": len(records)}, sort_keys=True)
+    _write_atomic(columns_path(path), b"\n".join([_COLUMNS_MAGIC, header.encode(), values.astype("<f8").tobytes()]))
+
+
+def _stored_columns(path, layers, max_steps) -> RunColumns | None:
+    """The columns stored beside the CSV ``path``, if they are bound to its
+    bytes, list ``layers`` and at most ``max_steps`` steps, and their losses
+    are finite; else None."""
     try:
-        losses = list(map(float, losses))
-        arrays = [np.fromiter(map(float, column), np.float64, len(column)).reshape(n, width)
-                  for column in stats]
-    except ValueError:
+        with open(columns_path(path), "rb") as f:
+            magic, header, payload = f.read().split(b"\n", 2)
+        with open(path, "rb") as f:
+            digest = hashlib.sha256(f.read()).hexdigest()
+        header = json.loads(header)
+    except (OSError, ValueError, RecursionError):
         return None
-    return RunColumns(losses, layers, *arrays) if all(map(math.isfinite, losses)) else None
+    if magic != _COLUMNS_MAGIC or not isinstance(header, dict):
+        return None
+    steps, width = header.get("steps"), len(LayerStats._fields)
+    if (header.get("csv_sha256") != digest or header.get("layers") != list(layers)
+            or type(steps) is not int or not 0 <= steps <= max_steps
+            or len(payload) != 8 * steps * (1 + width * len(layers))):
+        return None
+    values = np.frombuffer(payload, "<f8").astype(np.float64)
+    losses = values[:steps]
+    if not np.isfinite(losses).all():
+        return None
+    return RunColumns(losses.tolist(), layers, *values[steps:].reshape(width, steps, len(layers)))
 
 
 def _read_text(path, newline=None) -> str:
@@ -658,16 +693,6 @@ def _read_text(path, newline=None) -> str:
             return f.read()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-def _csv_lines(path) -> list[str]:
-    """The lines of a telemetry CSV, without the newline that ends the last."""
-    # Split on LF alone, the only line break the writer emits: a layer name
-    # may hold other characters that str.splitlines() would break at.
-    lines = _read_text(path, newline="\n").split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    return lines
 
 
 # The C string escaper of json.dumps's default, ensure_ascii=True.
@@ -718,11 +743,15 @@ def _json_text(obj) -> str:
     return "".join(parts)
 
 
-def _write_text_atomic(path: str, text: str) -> None:
+def _write_atomic(path: str, data: bytes) -> None:
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as f:
-        f.write(text)
+    with open(tmp, "wb") as f:
+        f.write(data)
     os.replace(tmp, path)
+
+
+def _write_text_atomic(path: str, text: str) -> None:
+    _write_atomic(path, text.encode("utf-8"))
 
 
 # ----------------------------------------------------------------------------

@@ -227,7 +227,8 @@ def test_run_replays_its_config_json(tmp_path, capsys):
     assert main(["run", _write_config(tmp_path, seeds=[0, 1], loss_threshold=5.0)]) == 0
     outdir = tmp_path / "run"
     first = {n: (outdir / n).read_bytes() for n in os.listdir(outdir)}
-    assert sorted(first) == ["config.json", "seed_0.csv", "seed_1.csv", "summary.json"]
+    assert sorted(first) == ["config.json", "seed_0.columns", "seed_0.csv", "seed_1.columns", "seed_1.csv",
+                             "summary.json"]
     for n in first:
         (outdir / n).unlink()
     (tmp_path / "replay.json").write_bytes(first["config.json"])

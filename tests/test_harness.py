@@ -726,12 +726,35 @@ class TestRunExperiment:
         cfg = self._cfg(tmp_path)
         summary, records = run_experiment(cfg)
         outdir = tmp_path / "run"
-        assert sorted(os.listdir(outdir)) == ["config.json", "seed_0.csv", "seed_1.csv", "summary.json"]
+        assert sorted(os.listdir(outdir)) == ["config.json", "seed_0.columns", "seed_0.csv", "seed_1.columns",
+                                              "seed_1.csv", "summary.json"]
         h0 = (outdir / "seed_0.csv").read_text().splitlines()[0]
         h1 = (outdir / "seed_1.csv").read_text().splitlines()[0]
         assert h0 == h1 == CSV_HEADER
         assert summary["per_seed"][0]["seed"] == 0
         assert len(records[0]) == 25
+
+    def test_fresh_run_dir_is_read_without_read_metrics(self, tmp_path, monkeypatch):
+        cfg = self._cfg(tmp_path, seeds=[0, 1, 2])
+        run_experiment(cfg)
+        outdir = str(tmp_path / "run")
+        parsed = []
+        exact_read_metrics = harness.read_metrics
+
+        def counted(path, layers=None, max_steps=None):
+            parsed.append(path)
+            return exact_read_metrics(path, layers, max_steps)
+
+        monkeypatch.setattr(harness, "read_metrics", counted)
+        fresh = [(seed, columns.losses) for seed, columns in read_seeds(outdir, cfg)]
+        compare_runs([outdir, outdir], threshold=1.0)
+        assert parsed == []
+        # Without its columns files the same directory is parsed, seed by
+        # seed, to the same values.
+        for seed in cfg.seeds:
+            os.remove(harness.columns_path(harness.seed_csv(outdir, seed)))
+        assert [(seed, columns.losses) for seed, columns in read_seeds(outdir, cfg)] == fresh
+        assert parsed == [harness.seed_csv(outdir, seed) for seed in cfg.seeds]
 
     def test_byte_identical_rerun(self, tmp_path):
         cfg = self._cfg(tmp_path)

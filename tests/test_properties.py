@@ -17,6 +17,7 @@ import json
 import math
 import os
 import re
+import shutil
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -306,6 +307,17 @@ def test_every_config_gives_a_run_dir_its_readers_take(tmp_path_factory, raw):
     for argv in (["diagnose", dirs[0]], ["compare", *dirs, "--threshold", "0.5"]):
         rc, _, err = _cli(argv)
         assert rc == 0, err
+    # Every seed's columns, read from the columns file the run stored, are
+    # the bits of the records its CSV parses to.
+    for path in dirs:
+        cfg = harness.read_run_config(path)
+        names = [spec.name for spec, _ in task_layers(cfg.task_section)]
+        for seed in cfg.seeds:
+            csv = harness.seed_csv(path, seed)
+            assert os.path.exists(harness.columns_path(csv))
+            records = read_metrics(csv, names, cfg.total_steps)
+            assert (_column_bits(read_columns(csv, names, cfg.total_steps))
+                    == _column_bits(columns_of(records, names)))
 
 
 _STEPS = 6
@@ -432,11 +444,12 @@ def test_metrics_csv_round_trips(tmp_path_factory, records, bad_loss):
 
 
 def _read(reader, path, layers, max_steps):
-    """What a reader gives: its value, or the text of its ValueError."""
+    """What a reader gives: its value, or the type and text of its
+    ValueError or OSError."""
     try:
         return reader(path, layers, max_steps)
-    except ValueError as exc:
-        return ValueError, str(exc)
+    except (ValueError, OSError) as exc:
+        return type(exc), str(exc)
 
 
 def _column_bits(columns):
@@ -495,6 +508,23 @@ def test_read_columns_gives_read_metrics_values(tmp_path_factory, edit, records,
     _assert_same_read(path, layers, data.draw(st.sampled_from([len(records), 5, 0, 1])))
 
 
+@given(records=_records(), negate=st.booleans())
+def test_stored_columns_hold_the_bits_of_the_csv(tmp_path_factory, records, negate):
+    # A NaN that numpy computes may carry a sign bit (0 * inf gives one); the
+    # CSV writes it as nan, which parses to float("nan"), and the columns
+    # file must store that value, not the computed one.
+    if negate:
+        records = [r._replace(layers={name: LayerStats(*(-x if math.isnan(x) else x for x in st_))
+                                      for name, st_ in r.layers.items()}) for r in records]
+    path = str(tmp_path_factory.mktemp("stored") / "seed_0.csv")
+    names = list(records[0].layers) if records else ["a"]
+    emit_metrics(records, path)
+    harness._store_columns(records, names, path)
+    stored = harness._stored_columns(path, tuple(names), len(records))
+    assert stored is not None
+    assert _column_bits(stored) == _column_bits(columns_of(read_metrics(path), names))
+
+
 def test_read_columns_takes_no_layer_twice(tmp_path):
     # A config never lists a layer twice; a caller that does gets
     # read_metrics' error for the file that repeats it.
@@ -508,18 +538,97 @@ def test_read_columns_takes_no_layer_twice(tmp_path):
     assert records == (ValueError, f"{path}: step 0: layer 'a' listed twice")
 
 
-@settings(max_examples=120)
-@given(st.data())
-def test_read_columns_gives_read_metrics_values_on_corrupted_csv(option_two_run_dirs, tmp_path_factory, data):
-    a, _ = option_two_run_dirs
-    with open(os.path.join(a, "seed_0.csv"), "rb") as f:
+def _read_corrupted_csv(run_dir, tmp_path_factory, data, stored):
+    with open(os.path.join(run_dir, "seed_0.csv"), "rb") as f:
         csv = f.read()
-    with open(os.path.join(a, "config.json"), "rb") as f:
+    with open(os.path.join(run_dir, "config.json"), "rb") as f:
         config = f.read()
     target, corrupted, _ = data.draw(_corruptions(csv, config))
     path = tmp_path_factory.mktemp("corrupt_csv") / "seed_0.csv"
     path.write_bytes(corrupted if target == "csv" else csv)
+    if stored:
+        shutil.copyfile(os.path.join(run_dir, "seed_0.columns"), harness.columns_path(str(path)))
     _assert_same_read(str(path), _CORRUPT_LAYERS, _STEPS)
+
+
+@settings(max_examples=120)
+@given(st.data())
+def test_read_columns_gives_read_metrics_values_on_corrupted_csv(option_two_run_dirs, tmp_path_factory, data):
+    _read_corrupted_csv(option_two_run_dirs[0], tmp_path_factory, data, stored=False)
+
+
+@settings(max_examples=120)
+@given(st.data())
+def test_read_columns_gives_read_metrics_values_on_corrupted_csv_beside_its_columns_file(
+        option_two_run_dirs, tmp_path_factory, data):
+    # The run's own columns file is stale beside a corrupted CSV: the reader
+    # must notice and parse the CSV.
+    _read_corrupted_csv(option_two_run_dirs[0], tmp_path_factory, data, stored=True)
+
+
+def _columns_fault(fault, a, csv_path):
+    """Lay out one columns-file fault beside a copy of ``a``'s seed 0 CSV at
+    ``csv_path``; returns the layers and step cap to read it with."""
+    shutil.copyfile(os.path.join(a, "seed_0.csv"), csv_path)
+    with open(os.path.join(a, "seed_0.columns"), "rb") as f:
+        stored = f.read()
+    magic, header, payload = stored.split(b"\n", 2)
+    columns, layers, max_steps = stored, _CORRUPT_LAYERS, _STEPS
+    if fault == "missing":
+        return layers, max_steps
+    if fault == "layers_reordered":
+        # A columns file consistent with itself and with the CSV's bytes,
+        # but for the layers in another order than the config's.
+        harness._store_columns(read_metrics(csv_path), _CORRUPT_LAYERS[::-1], csv_path)
+        return layers, max_steps
+    if fault == "infinite_loss":
+        # A CSV whose last loss is infinite, and a columns file bound to it.
+        records = read_metrics(csv_path)
+        records[-1] = records[-1]._replace(loss=math.inf)
+        emit_metrics(records, csv_path)
+        harness._store_columns(records, layers, csv_path)
+        return layers, max_steps
+    if fault == "empty":
+        columns = b""
+    elif fault == "truncated":
+        columns = stored[:-1]
+    elif fault == "truncated_to_header":
+        columns = magic + b"\n" + header
+    elif fault == "wrong_magic":
+        columns = b"lanton-columns 2\n" + header + b"\n" + payload
+    elif fault == "header_not_json":
+        columns = magic + b"\n{" + header + b"\n" + payload
+    elif fault == "steps_above_max_steps":
+        max_steps = _STEPS - 1
+    elif fault == "other_seed":
+        with open(os.path.join(a, "seed_1.columns"), "rb") as f:
+            columns = f.read()
+    elif fault == "csv_missing":
+        os.remove(csv_path)
+    with open(harness.columns_path(csv_path), "wb") as f:
+        f.write(columns)
+    return layers, max_steps
+
+
+_COLUMNS_FAULTS = ["missing", "empty", "truncated", "truncated_to_header", "wrong_magic", "header_not_json",
+                   "layers_reordered", "steps_above_max_steps", "infinite_loss", "other_seed", "csv_missing"]
+
+
+@pytest.mark.parametrize("fault", _COLUMNS_FAULTS)
+def test_read_columns_gives_read_metrics_values_beside_a_faulty_columns_file(option_two_run_dirs, tmp_path,
+                                                                             fault):
+    a, _ = option_two_run_dirs
+    csv_path = str(tmp_path / "seed_0.csv")
+    layers, max_steps = _columns_fault(fault, a, csv_path)
+    records, _ = _assert_same_read(csv_path, layers, max_steps)
+    if fault == "steps_above_max_steps":
+        assert records == (ValueError, f"{csv_path}: found step {max_steps} in a run of {max_steps} steps")
+    elif fault == "infinite_loss":
+        assert records == (ValueError, f"{csv_path}: step {_STEPS - 1}: loss 'inf' is not finite")
+    elif fault == "csv_missing":
+        assert records[0] is FileNotFoundError
+    else:
+        assert len(records) == _STEPS
 
 
 def _reports(module, stream, params, alpha, groups):
