@@ -448,10 +448,13 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1):
     that raises does not stop the others: every other seed still runs and
     writes its CSV, no ``summary.json`` is written, and then the first
     failing seed's exception reaches the caller, its message prefixed with
-    ``seed <s>: ``. An ``output_path`` that is a file, or lies under one,
-    raises a ``ConfigError`` naming it; so do a task too large to build in
-    memory and an MLP ``label_noise`` that overflows the labels, before any
-    file is written.
+    ``seed <s>: ``. Before it writes ``config.json`` it removes, where
+    they exist, ``summary.json``, ``diagnostics.json`` and each listed
+    seed's CSV and columns file, so a run that fails or is killed leaves no
+    earlier run's files beside its own. An ``output_path`` that is a file,
+    or lies under one, raises a ``ConfigError`` naming it; so do a task too
+    large to build in memory and an MLP ``label_noise`` that overflows the
+    labels, before any file is written.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -468,6 +471,14 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1):
         os.makedirs(outdir, exist_ok=True)
     except (FileExistsError, NotADirectoryError):
         raise ConfigError("output_path", f"{outdir!r}: a file is in the way of the run directory") from None
+    # An earlier run's files go first: a run that fails or is killed leaves
+    # its seeds' files missing, which both readers reject, not another run's.
+    stale = [os.path.join(outdir, "summary.json"), os.path.join(outdir, "diagnostics.json")]
+    for seed in cfg.seeds:
+        stale += [seed_csv(outdir, seed), columns_path(seed_csv(outdir, seed))]
+    for path in stale:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path)
     _write_text_atomic(os.path.join(outdir, "config.json"), _json_text(canonical_config(cfg)) + "\n")
     layer_names = [spec.name for spec in task.layers]
 
@@ -492,8 +503,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1):
                 continue
             records, summary = result
             path = seed_csv(outdir, seed)
-            emit_metrics(records, path)
-            _store_columns(records, layer_names, path)
+            _store_columns(records, layer_names, path, emit_metrics(records, path))
             records_by_seed[seed] = records
             per_seed.append(summary)
     if failures:
@@ -527,8 +537,9 @@ def columns_path(csv_path: str) -> str:
     return os.path.splitext(csv_path)[0] + ".columns"
 
 
-def emit_metrics(records, path) -> None:
-    """Write the long-format telemetry CSV (one row per step and layer).
+def emit_metrics(records, path) -> bytes:
+    """Write the long-format telemetry CSV (one row per step and layer), and
+    return the bytes written.
 
     Floats are printed with 17 significant digits so a re-read reproduces
     them bit-exactly. UTF-8, LF line endings, written atomically.
@@ -537,7 +548,9 @@ def emit_metrics(records, path) -> None:
     for rec in records:
         prefix = f"{rec.step},{rec.loss:.17g},"
         lines += [_ROW_FORMAT % ((prefix, name) + st) for name, st in rec.layers.items()]
-    _write_text_atomic(path, "\n".join(lines) + "\n")
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    _write_atomic(path, data)
+    return data
 
 
 def read_metrics(path, layers=None, max_steps=None) -> list[RunRecord]:
@@ -617,8 +630,9 @@ def read_columns(path, layers, max_steps) -> RunColumns:
 
     A run stores each seed's columns beside its CSV, in the file
     ``columns_path`` names. They are returned without parsing the CSV when
-    that file holds the SHA-256 of the CSV's current bytes, lists ``layers``
-    and at most ``max_steps`` steps, and its losses are finite. Any other
+    that file holds the SHA-256 of the CSV's current bytes and of its own
+    payload, lists ``layers`` and at most ``max_steps`` steps, and its
+    losses are finite. Any other
     columns file, or none, leaves the CSV to ``read_metrics``, the statement
     of the format, whose errors are the reader's errors.
     """
@@ -640,29 +654,36 @@ def columns_of(records, layers) -> RunColumns:
 
 
 # The first line of a columns file. The second is a JSON header; the rest is
-# the losses, then each LayerStats column (steps x layers, row-major), all
-# little-endian float64.
-_COLUMNS_MAGIC = b"lanton-columns 1"
+# the payload: the losses, then each LayerStats column (steps x layers,
+# row-major), all little-endian float64.
+_COLUMNS_MAGIC = b"lanton-columns 2"
 
 
-def _store_columns(records, layers, path) -> None:
+def _store_columns(records, layers, path, csv=None) -> None:
     """Write the columns file of the CSV that ``emit_metrics`` wrote at
-    ``path`` from ``records``, bound to the CSV's bytes on disk by their
-    SHA-256. Each NaN is stored as ``float("nan")``, the value the CSV's
-    ``nan`` parses to, so the stored bits are those a read of the CSV gives."""
-    with open(path, "rb") as f:
-        digest = hashlib.sha256(f.read()).hexdigest()
+    ``path`` from ``records``. ``csv`` is the bytes it wrote, read from
+    ``path`` when not given (a wrapper of ``emit_metrics`` may drop its
+    return value). The header binds the file to the CSV's bytes and to its
+    own payload by their SHA-256s. Each NaN is stored as ``float("nan")``,
+    the value the CSV's ``nan`` parses to, so the stored bits are those a
+    read of the CSV gives."""
+    if csv is None:
+        with open(path, "rb") as f:
+            csv = f.read()
     columns = columns_of(records, layers)
     values = np.concatenate([np.array(columns.losses, dtype=np.float64), *(c.ravel() for c in columns[2:])])
     values[np.isnan(values)] = math.nan
-    header = json.dumps({"csv_sha256": digest, "layers": list(layers), "steps": len(records)}, sort_keys=True)
-    _write_atomic(columns_path(path), b"\n".join([_COLUMNS_MAGIC, header.encode(), values.astype("<f8").tobytes()]))
+    payload = values.astype("<f8").tobytes()
+    header = json.dumps({"csv_sha256": hashlib.sha256(csv).hexdigest(), "layers": list(layers),
+                         "payload_sha256": hashlib.sha256(payload).hexdigest(), "steps": len(records)},
+                        sort_keys=True)
+    _write_atomic(columns_path(path), b"\n".join([_COLUMNS_MAGIC, header.encode(), payload]))
 
 
 def _stored_columns(path, layers, max_steps) -> RunColumns | None:
     """The columns stored beside the CSV ``path``, if they are bound to its
-    bytes, list ``layers`` and at most ``max_steps`` steps, and their losses
-    are finite; else None."""
+    bytes and to their own, list ``layers`` and at most ``max_steps`` steps,
+    and their losses are finite; else None."""
     try:
         with open(columns_path(path), "rb") as f:
             magic, header, payload = f.read().split(b"\n", 2)
@@ -676,7 +697,8 @@ def _stored_columns(path, layers, max_steps) -> RunColumns | None:
     steps, width = header.get("steps"), len(LayerStats._fields)
     if (header.get("csv_sha256") != digest or header.get("layers") != list(layers)
             or type(steps) is not int or not 0 <= steps <= max_steps
-            or len(payload) != 8 * steps * (1 + width * len(layers))):
+            or len(payload) != 8 * steps * (1 + width * len(layers))
+            or header.get("payload_sha256") != hashlib.sha256(payload).hexdigest()):
         return None
     values = np.frombuffer(payload, "<f8").astype(np.float64)
     losses = values[:steps]
@@ -744,9 +766,18 @@ def _json_text(obj) -> str:
 
 
 def _write_atomic(path: str, data: bytes) -> None:
+    """Write ``data`` to ``<path>.tmp``, then rename it to ``path``. A file
+    already at ``path`` is removed once the temporary file is complete,
+    just before the rename, so the rename never lands on an existing name:
+    on ext4 (``auto_da_alloc``) a rename over a file starts writeback of
+    the new one inside the rename, several times the cost of a remove and
+    a rename onto a free name. A reader sees the old bytes, no file, or the
+    new bytes, never a partial file; nothing is fsynced either way."""
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as f:
         f.write(data)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(path)
     os.replace(tmp, path)
 
 

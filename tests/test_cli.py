@@ -858,6 +858,52 @@ def test_readers_take_a_seed_that_stopped_early(tmp_path, capsys):
         capsys.readouterr()
 
 
+def test_failed_rerun_leaves_no_seed_of_the_earlier_run(tmp_path, capsys, monkeypatch):
+    # A lanton run, then a fixed_rate_lmo run into the same directory whose
+    # seed 1 raises: the directory must not pass the first run's seed 1 off
+    # as the second run's, so both readers fail naming the missing CSV.
+    run = str(tmp_path / "run")
+    assert main(["run", _write_config(tmp_path, seeds=[0, 1])]) == 0
+    assert main(["diagnose", run]) == 0
+    exact_execute_run = lanton.harness.execute_run
+
+    def raise_on_seed_1(cfg, seed, task=None):
+        if seed == 1:
+            raise RuntimeError("no convergence")
+        return exact_execute_run(cfg, seed, task=task)
+
+    monkeypatch.setattr(lanton.harness, "execute_run", raise_on_seed_1)
+    with pytest.raises(RuntimeError, match="^seed 1: no convergence$"):
+        main(["run", _write_config(tmp_path, seeds=[0, 1], optimizer={"kind": "fixed_rate_lmo"})])
+    assert sorted(os.listdir(run)) == ["config.json", "seed_0.columns", "seed_0.csv"]
+    capsys.readouterr()
+    for argv in _readers(run, run):
+        assert main(argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "FileNotFoundError"
+        assert os.path.join(run, "seed_1.csv") in err["message"]
+
+
+def test_every_write_renames_onto_a_free_name(tmp_path, capsys, monkeypatch):
+    # A rename over an existing file makes ext4 write the new file back
+    # inside the rename; every lanton write must land on a name that is free.
+    renames = []
+    exact_replace = os.replace
+
+    def replace(src, dst):
+        renames.append((os.path.basename(dst), os.path.exists(dst)))
+        exact_replace(src, dst)
+
+    monkeypatch.setattr(lanton.harness.os, "replace", replace)
+    cfg, run = _write_config(tmp_path, seeds=[0, 1]), str(tmp_path / "run")
+    for argv in (["run", cfg], ["run", cfg], ["diagnose", run], ["diagnose", run]):
+        assert main(argv) == 0
+    capsys.readouterr()
+    files = ["config.json", "seed_0.csv", "seed_0.columns", "seed_1.csv", "seed_1.columns", "summary.json"]
+    assert renames == [(name, False) for name in files * 2 + ["diagnostics.json"] * 2]
+    assert sorted(os.listdir(run)) == sorted(files + ["diagnostics.json"])
+
+
 _PARSE_CASES = [
     ["--seed-override", "3,4", "run", "c.json", "--workers", "2"],
     ["run", "c.json", "--out", "o"],

@@ -595,7 +595,13 @@ def _columns_fault(fault, a, csv_path):
     elif fault == "truncated_to_header":
         columns = magic + b"\n" + header
     elif fault == "wrong_magic":
-        columns = b"lanton-columns 2\n" + header + b"\n" + payload
+        columns = b"lanton-columns 1\n" + header + b"\n" + payload
+    elif fault == "payload_flip":
+        # The low byte of the last stored value flipped, the length kept:
+        # the CSV digest still holds, the payload's does not.
+        flipped = bytearray(payload)
+        flipped[-8] ^= 1
+        columns = magic + b"\n" + header + b"\n" + bytes(flipped)
     elif fault == "header_not_json":
         columns = magic + b"\n{" + header + b"\n" + payload
     elif fault == "steps_above_max_steps":
@@ -611,7 +617,8 @@ def _columns_fault(fault, a, csv_path):
 
 
 _COLUMNS_FAULTS = ["missing", "empty", "truncated", "truncated_to_header", "wrong_magic", "header_not_json",
-                   "layers_reordered", "steps_above_max_steps", "infinite_loss", "other_seed", "csv_missing"]
+                   "payload_flip", "layers_reordered", "steps_above_max_steps", "infinite_loss", "other_seed",
+                   "csv_missing"]
 
 
 @pytest.mark.parametrize("fault", _COLUMNS_FAULTS)
