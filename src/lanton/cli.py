@@ -130,7 +130,7 @@ def _cmd_diagnose(args) -> int:
     params = BoundParams(c1=c1, c2=c2, delta=delta, beta2=opt.beta2, profile=profile)
     # The tracker envelopes hold for a twin-gradient tracker updated every
     # step. A check whose telemetry column the run switched off is skipped.
-    interval_ok = (cfg.optimizer_kind == "lanton" and opt.noise_option == "II"
+    interval_ok = (opt.kind == "lanton" and opt.noise_option == "II"
                    and opt.noise_update_interval == 1 and cfg.telemetry.h)
     per_seed = []
     for seed, columns in read_seeds(args.dir, cfg):

@@ -27,8 +27,6 @@ import numpy as np
 from .checks import CHECKS, ConfigError, check_integer, check_number, check_string
 from .norms import Group
 from .optimizer import (
-    BASELINE_KINDS,
-    MODES,
     OPTIONS,
     GradientError,
     LantonConfig,
@@ -83,14 +81,10 @@ CSV_HEADER = ",".join(["step", "loss", "layer"] + [{"h": "H"}.get(f, f) for f in
 _ROW_FORMAT = "%s%s" + ",%.17g" * len(LayerStats._fields)
 _ROW_FIELDS = CSV_HEADER.count(",") + 1
 
-OPTIMIZER_KINDS = ("lanton",) + BASELINE_KINDS
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     task_section: dict
-    optimizer_kind: str
-    mode: str
     lanton: LantonConfig
     seeds: tuple[int, ...]
     telemetry: TelemetryFlags
@@ -292,9 +286,8 @@ def _seed_list(value, path: str, _top) -> tuple:
     return tuple(value)
 
 
-# The optimizer section: the kind and mode, then every LantonConfig option.
-_OPTIMIZER = dict(kind=_key(str, "lanton", choices=OPTIMIZER_KINDS), mode=_key(str, "raw", choices=MODES),
-                  **{f.name: _key(f.metadata["type"], f.default, **f.metadata["bounds"]) for f in OPTIONS})
+# The optimizer section: every LantonConfig option.
+_OPTIMIZER = {f.name: _key(f.metadata["type"], f.default, **f.metadata["bounds"]) for f in OPTIONS}
 _TOP = dict(task=_key(_parse_task), total_steps=_key(int, 1000, lo=1), optimizer=_key(_OPTIMIZER),
             seeds=_key(_seed_list, [0]),
             telemetry=_key({f.name: _key(bool, f.default) for f in fields(TelemetryFlags)}, {}),
@@ -305,15 +298,13 @@ def _parse_document(raw: dict) -> ExperimentConfig:
     """The typed config of a decoded config document. ``raw`` is only read:
     the result shares no mutable object with it, and it is left unchanged."""
     top = _walk(raw, _TOP, "")
-    options = top["optimizer"]
-    kind, mode = options.pop("kind"), options.pop("mode")
     try:
-        lanton = LantonConfig(top["total_steps"], **options)
+        lanton = LantonConfig(top["total_steps"], **top["optimizer"])
     except ConfigError as exc:
         # Every option passed the walk, so this is a rule across keys:
         # eta_min <= eta_max, or warmup_steps < total_steps.
         raise ConfigError(f"optimizer.{exc.field}", exc.message) from None
-    return ExperimentConfig(top["task"], kind, mode, lanton, top["seeds"], TelemetryFlags(**top["telemetry"]),
+    return ExperimentConfig(top["task"], lanton, top["seeds"], TelemetryFlags(**top["telemetry"]),
                             top["output_path"], top["loss_threshold"])
 
 
@@ -321,8 +312,7 @@ def canonical_config(cfg: ExperimentConfig) -> dict:
     """Fully-defaulted mirror of the config, stable for hashing and echoing."""
     return {
         "task": cfg.task_section,
-        "optimizer": {"kind": cfg.optimizer_kind, "mode": cfg.mode,
-                      **{f.name: getattr(cfg.lanton, f.name) for f in OPTIONS}},
+        "optimizer": {f.name: getattr(cfg.lanton, f.name) for f in OPTIONS},
         "seeds": list(cfg.seeds),
         "total_steps": cfg.total_steps,
         "telemetry": asdict(cfg.telemetry),
@@ -391,39 +381,36 @@ def execute_run(cfg: ExperimentConfig, seed: int, task=None) -> tuple[list[RunRe
     with np.errstate(over="ignore"):
         for t in range(cfg.total_steps):
             tick = time.perf_counter_ns()
-            loss, exact = value_grad(task, params, work)
-            if not math.isfinite(loss):
-                aborted_at = t
-                break
-            twins = None
-            if needs_twins(cfg.optimizer_kind, opt, t):
-                grads, twins = perturb_gradients(layers, exact, task.noise, rngs, twin=True)
-            else:
-                grads = perturb_gradients(layers, exact, task.noise, rngs)
             try:
-                if cfg.optimizer_kind == "lanton":
-                    deltas, stats = lanton_step(
-                        state, grads, opt, mode=cfg.mode, twins=twins, params=params,
-                        telemetry=cfg.telemetry,
-                    )
+                loss, exact = value_grad(task, params, work)
+                if not math.isfinite(loss):
+                    aborted_at = t
+                    break
+                twins = None
+                if needs_twins(opt, t):
+                    grads, twins = perturb_gradients(layers, exact, task.noise, rngs, twin=True)
                 else:
-                    deltas, stats = baseline_step(
-                        cfg.optimizer_kind, state, grads, opt, mode=cfg.mode, params=params,
-                        telemetry=cfg.telemetry,
-                    )
+                    grads = perturb_gradients(layers, exact, task.noise, rngs)
+                if opt.kind == "lanton":
+                    deltas, stats = lanton_step(state, grads, opt, twins, params, cfg.telemetry)
+                else:
+                    deltas, stats = baseline_step(state, grads, opt, params, cfg.telemetry)
+                for name, delta in deltas.items():
+                    params[name] += delta
+                records.append(RunRecord(
+                    step=t,
+                    loss=loss,
+                    layers=stats,
+                    wall_ns=time.perf_counter_ns() - tick,
+                ))
             except GradientError:
                 # A non-finite gradient ends this seed like a non-finite loss;
                 # the other seeds run on.
                 aborted_at = t
                 break
-            for name, delta in deltas.items():
-                params[name] += delta
-            records.append(RunRecord(
-                step=t,
-                loss=loss,
-                layers=stats,
-                wall_ns=time.perf_counter_ns() - tick,
-            ))
+            except Exception as exc:
+                exc.args = (f"step {t}: {exc}",)
+                raise
     losses = [r.loss for r in records]
     summary = {
         "seed": seed,
@@ -448,13 +435,14 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1):
     that raises does not stop the others: every other seed still runs and
     writes its CSV, no ``summary.json`` is written, and then the first
     failing seed's exception reaches the caller, its message prefixed with
-    ``seed <s>: ``. Before it writes ``config.json`` it removes, where
-    they exist, ``summary.json``, ``diagnostics.json`` and each listed
-    seed's CSV and columns file, so a run that fails or is killed leaves no
-    earlier run's files beside its own. An ``output_path`` that is a file,
-    or lies under one, raises a ``ConfigError`` naming it; so do a task too
-    large to build in memory and an MLP ``label_noise`` that overflows the
-    labels, before any file is written.
+    ``seed <s>: ``, then ``step <t>: `` when step t raised it. Before it
+    writes ``config.json`` it removes, where they exist, ``summary.json``,
+    ``diagnostics.json`` and each listed seed's CSV and columns file, so a
+    run that fails or is killed leaves no earlier run's files beside its
+    own. An ``output_path`` that is a file, or lies under one, raises a
+    ``ConfigError`` naming it; so do a task too large to build in memory and
+    an MLP ``label_noise`` that overflows the labels, before any file is
+    written.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -503,7 +491,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1):
                 continue
             records, summary = result
             path = seed_csv(outdir, seed)
-            _store_columns(records, layer_names, path, emit_metrics(records, path))
+            emit_metrics(records, path)
+            _store_columns(records, layer_names, path)
             records_by_seed[seed] = records
             per_seed.append(summary)
     if failures:
@@ -512,7 +501,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1):
         raise exc
     summary = {
         "task_signature": task_signature(cfg.task_section),
-        "optimizer": {"kind": cfg.optimizer_kind, "mode": cfg.mode},
+        "optimizer": {"kind": cfg.lanton.kind, "mode": cfg.lanton.mode},
         "total_steps": cfg.total_steps,
         "seeds": list(cfg.seeds),
         "loss_threshold": cfg.loss_threshold,
@@ -537,9 +526,8 @@ def columns_path(csv_path: str) -> str:
     return os.path.splitext(csv_path)[0] + ".columns"
 
 
-def emit_metrics(records, path) -> bytes:
-    """Write the long-format telemetry CSV (one row per step and layer), and
-    return the bytes written.
+def emit_metrics(records, path) -> None:
+    """Write the long-format telemetry CSV (one row per step and layer).
 
     Floats are printed with 17 significant digits so a re-read reproduces
     them bit-exactly. UTF-8, LF line endings, written atomically.
@@ -548,9 +536,7 @@ def emit_metrics(records, path) -> bytes:
     for rec in records:
         prefix = f"{rec.step},{rec.loss:.17g},"
         lines += [_ROW_FORMAT % ((prefix, name) + st) for name, st in rec.layers.items()]
-    data = ("\n".join(lines) + "\n").encode("utf-8")
-    _write_atomic(path, data)
-    return data
+    _write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_metrics(path, layers=None, max_steps=None) -> list[RunRecord]:
@@ -659,17 +645,14 @@ def columns_of(records, layers) -> RunColumns:
 _COLUMNS_MAGIC = b"lanton-columns 2"
 
 
-def _store_columns(records, layers, path, csv=None) -> None:
+def _store_columns(records, layers, path) -> None:
     """Write the columns file of the CSV that ``emit_metrics`` wrote at
-    ``path`` from ``records``. ``csv`` is the bytes it wrote, read from
-    ``path`` when not given (a wrapper of ``emit_metrics`` may drop its
-    return value). The header binds the file to the CSV's bytes and to its
-    own payload by their SHA-256s. Each NaN is stored as ``float("nan")``,
-    the value the CSV's ``nan`` parses to, so the stored bits are those a
-    read of the CSV gives."""
-    if csv is None:
-        with open(path, "rb") as f:
-            csv = f.read()
+    ``path`` from ``records``. The header binds the file to the bytes of the
+    CSV at ``path``, read back here, and to its own payload by their
+    SHA-256s. Each NaN is stored as ``float("nan")``, the value the CSV's
+    ``nan`` parses to, so the stored bits are those a read of the CSV gives."""
+    with open(path, "rb") as f:
+        csv = f.read()
     columns = columns_of(records, layers)
     values = np.concatenate([np.array(columns.losses, dtype=np.float64), *(c.ravel() for c in columns[2:])])
     values[np.isnan(values)] = math.nan
@@ -894,8 +877,8 @@ def compare_runs(paths, threshold: float, smoothing: str = "trailing") -> dict:
             q25, q50, q75 = (float(q) for q in np.quantile(np.asarray(finals), [0.25, 0.5, 0.75]))
         runs.append({
             "path": path,
-            "optimizer": cfg.optimizer_kind,
-            "mode": cfg.mode,
+            "optimizer": cfg.lanton.kind,
+            "mode": cfg.lanton.mode,
             "per_seed_steps_to_threshold": [None if math.isinf(s) else int(s) for s in steps],
             "median_steps_to_threshold": None if math.isinf(med) else med,
             "final_loss_quantiles": {"q25": q25, "q50": q50, "q75": q75},

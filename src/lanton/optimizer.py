@@ -16,10 +16,10 @@ no extra gradient evaluations) or an independent twin gradient at the same
 point ("option II"). Tracker updates run every `noise_update_interval`
 steps; ratios are frozen in between because H does not change.
 
-Two step modes exist: "raw" applies eta_t * sqrt(ratio) uniformly, while
-"practical" folds in the per-group rate scales used for transformer-style
-stacks (hidden_scale * sqrt(max(d_in, d_out)) for hidden layers, r1 for
-embedding/head layers, r2 for vector layers).
+The step mode is ``cfg.mode``: "raw" applies eta_t * sqrt(ratio)
+uniformly, while "practical" folds in the per-group rate scales used for
+transformer-style stacks (hidden_scale * sqrt(max(d_in, d_out)) for hidden
+layers, r1 for embedding/head layers, r2 for vector layers).
 
 Decoupled weight decay, when enabled, multiplies parameters by
 (1 - eta_t * weight_decay) with the base rate before the update is added.
@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .checks import CHECKS, ConfigError, check_integer, check_string
-from .lmo import lmo
+from .lmo import DEFAULT_NS_STEPS, lmo
 from .norms import Group, dual_norm
 
 __all__ = [
@@ -53,12 +53,14 @@ __all__ = [
     "baseline_step",
     "needs_twins",
     "BASELINE_KINDS",
+    "KINDS",
     "MODES",
     "CSV_UNSAFE",
     "check_layer_name",
 ]
 
 BASELINE_KINDS = ("fixed_rate_lmo", "signum", "sgd")
+KINDS = ("lanton",) + BASELINE_KINDS
 MODES = ("raw", "practical")
 
 # Characters a layer name must not hold: the name is a field of each
@@ -109,17 +111,21 @@ def _option(json_type: type, default, **bounds):
     return field(default=default, metadata={"type": json_type, "bounds": bounds})
 
 
-@dataclass
+@dataclass(frozen=True)
 class LantonConfig:
-    """Hyperparameters for the optimizer and its schedule.
+    """The optimizer kind, its step mode, its hyperparameters and its schedule.
 
     Every field but ``total_steps`` is an optimizer option (see ``OPTIONS``):
     a config file's ``optimizer`` section takes the same names, defaults and
     bounds, and ``__post_init__`` checks them for both kinds of caller. A
-    failed check raises :class:`ConfigError` naming the field.
+    failed check raises :class:`ConfigError` naming the field. The config is
+    frozen, so a checked config cannot change under the step; derive another
+    with ``dataclasses.replace``, which checks it again.
     """
 
     total_steps: int
+    kind: str = _option(str, "lanton", choices=KINDS)
+    mode: str = _option(str, "raw", choices=MODES)
     beta1: float = _option(float, 0.95, lo=0.0, hi=1.0, hi_open=True)
     beta2: float = _option(float, 0.9, lo=0.0, hi=1.0, hi_open=True)
     # None ties the scaling knee to the momentum window: alpha = 1 - beta1.
@@ -133,7 +139,7 @@ class LantonConfig:
     hidden_scale: float = _option(float, 0.2, lo=0.0, lo_open=True)
     noise_option: str = _option(str, "I", choices=("I", "II"))
     noise_update_interval: int = _option(int, 10, lo=1)
-    ns_steps: int = _option(int, 5, lo=1)
+    ns_steps: int = _option(int, DEFAULT_NS_STEPS, lo=1)
     oracle_polar: bool = _option(bool, False)
     embedding_dual: str = _option(str, "default", choices=("default", "alternate"))
 
@@ -143,14 +149,15 @@ class LantonConfig:
             value = getattr(self, f.name)
             if f.name == "alpha" and value is None:
                 value = 1.0 - self.beta1
-            setattr(self, f.name, CHECKS[f.metadata["type"]](value, f.name, **f.metadata["bounds"]))
+            object.__setattr__(self, f.name, CHECKS[f.metadata["type"]](value, f.name, **f.metadata["bounds"]))
         if self.eta_min > self.eta_max:
             raise ConfigError("eta_min", f"eta_min {self.eta_min} > eta_max {self.eta_max}")
         if self.warmup_steps >= self.total_steps:
             raise ConfigError("warmup_steps", f"must be < total_steps ({self.total_steps})")
 
 
-# The optimizer options, in the order they are checked.
+# The optimizer options, in the order they are checked: the whole optimizer
+# section of a config.
 OPTIONS = tuple(f for f in fields(LantonConfig) if f.metadata)
 
 
@@ -287,8 +294,8 @@ def _check_grads(state: LantonState, grads, what: str = "gradient") -> dict[str,
     return out
 
 
-def _effective_lr(spec: LayerSpec, eta_base: float, ratio: float, cfg: LantonConfig, mode: str) -> float:
-    if mode == "raw":
+def _effective_lr(spec: LayerSpec, eta_base: float, ratio: float, cfg: LantonConfig) -> float:
+    if cfg.mode == "raw":
         return eta_base * math.sqrt(ratio)
     if spec.group is Group.HIDDEN:
         d_out, d_in = spec.shape
@@ -298,26 +305,25 @@ def _effective_lr(spec: LayerSpec, eta_base: float, ratio: float, cfg: LantonCon
     return cfg.r2 * eta_base * math.sqrt(ratio)
 
 
-def needs_twins(kind: str, cfg: LantonConfig, t: int) -> bool:
-    """Whether step t of this optimizer kind takes a twin gradient: lanton's
-    tracker-update steps under option II."""
-    return kind == "lanton" and cfg.noise_option == "II" and t % cfg.noise_update_interval == 0
+def needs_twins(cfg: LantonConfig, t: int) -> bool:
+    """Whether step t takes a twin gradient: lanton's tracker-update steps
+    under option II."""
+    return cfg.kind == "lanton" and cfg.noise_option == "II" and t % cfg.noise_update_interval == 0
 
 
-def _step(kind: str, state: LantonState, grads, cfg: LantonConfig, mode: str, twins, params,
-          telemetry: TelemetryFlags):
-    """One step of any kind: momentum, direction, rate, decay and telemetry.
+def _step(state: LantonState, grads, cfg: LantonConfig, twins, params, telemetry: TelemetryFlags):
+    """One step of the kind ``cfg.kind``: momentum, direction, rate, decay
+    and telemetry.
 
     Only lanton tracks noise; the other kinds move at ratio 1. The sign and
     gradient directions are not unit-ball oracle outputs, so the practical
     per-group scales do not apply to them: they move at the base rate.
-    The mode, the gradients and lanton's twins are checked before the step
-    writes any state.
+    The gradients and lanton's twins are checked before the step writes any
+    state.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be 'raw' or 'practical', got {mode!r}")
+    kind = cfg.kind
     grads = _check_grads(state, grads)
-    if needs_twins(kind, cfg, state.t):
+    if needs_twins(cfg, state.t):
         if twins is None:
             raise ValueError("option II needs twin gradients on tracker-update steps")
         twins = _check_grads(state, twins, "twin gradient")
@@ -353,7 +359,7 @@ def _step(kind: str, state: LantonState, grads, cfg: LantonConfig, mode: str, tw
             # The oracle output already points down the anti-gradient (it
             # minimizes <B, x> over the unit ball), so the descent step adds it.
             o = lmo(spec.group, state.momentum[spec.name], ns_steps=cfg.ns_steps, oracle=cfg.oracle_polar)
-            eta_eff = _effective_lr(spec, eta_base, ratio, cfg, mode)
+            eta_eff = _effective_lr(spec, eta_base, ratio, cfg)
         else:
             o = -np.sign(state.momentum[spec.name]) if kind == "signum" else -g
             eta_eff = eta_base
@@ -369,16 +375,14 @@ def _step(kind: str, state: LantonState, grads, cfg: LantonConfig, mode: str, tw
     return deltas, stats
 
 
-def lanton_step(
-    state: LantonState,
-    grads,
-    cfg: LantonConfig,
-    mode: str = "raw",
-    twins=None,
-    params=None,
-    telemetry: TelemetryFlags = TelemetryFlags(),
-):
-    """Advance the optimizer one step.
+# Both step functions run _step and differ only in the kinds they take. They
+# stay two names because perfbench/tracer.py times each, and attributes the
+# dual norms the step computes, by these names.
+
+
+def lanton_step(state: LantonState, grads, cfg: LantonConfig, twins=None, params=None,
+                telemetry: TelemetryFlags = TelemetryFlags()):
+    """Advance the optimizer one step; ``cfg.kind`` must be ``"lanton"``.
 
     Returns ``(deltas, stats)``: per-layer parameter increments (add them to
     the parameters) and per-layer :class:`LayerStats`. ``twins`` is required
@@ -386,24 +390,20 @@ def lanton_step(
     weight_decay > 0, since the decay term is part of the returned delta.
     ``telemetry`` says which columns of the stats are recorded.
     """
-    return _step("lanton", state, grads, cfg, mode, twins, params, telemetry)
+    if cfg.kind != "lanton":
+        raise ValueError(f"lanton_step takes kind 'lanton', got {cfg.kind!r}")
+    return _step(state, grads, cfg, twins, params, telemetry)
 
 
-def baseline_step(
-    kind: str,
-    state: LantonState,
-    grads,
-    cfg: LantonConfig,
-    mode: str = "raw",
-    params=None,
-    telemetry: TelemetryFlags = TelemetryFlags(),
-):
-    """One step of a reference baseline sharing the schedule and state layout.
+def baseline_step(state: LantonState, grads, cfg: LantonConfig, params=None,
+                  telemetry: TelemetryFlags = TelemetryFlags()):
+    """One step of the reference baseline ``cfg.kind``, sharing the schedule
+    and state layout.
 
     * ``fixed_rate_lmo`` -- the LMO update with the noise ratio forced to 1.
     * ``signum``         -- momentum followed by -eta_t * sign(B) everywhere.
     * ``sgd``            -- plain X <- X - eta_t * G.
     """
-    if kind not in BASELINE_KINDS:
-        raise ValueError(f"unknown baseline kind {kind!r}")
-    return _step(kind, state, grads, cfg, mode, None, params, telemetry)
+    if cfg.kind not in BASELINE_KINDS:
+        raise ValueError(f"baseline_step takes a kind of {list(BASELINE_KINDS)}, got {cfg.kind!r}")
+    return _step(state, grads, cfg, None, params, telemetry)

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import sys
+import threading
 from dataclasses import fields
 
 import numpy as np
@@ -51,8 +52,8 @@ class TestParseConfig:
         assert cfg.lanton.alpha == pytest.approx(0.05)
         assert cfg.lanton.noise_update_interval == 10
         assert cfg.lanton.ns_steps == 5
-        assert cfg.optimizer_kind == "lanton"
-        assert cfg.mode == "raw"
+        assert cfg.lanton.kind == "lanton"
+        assert cfg.lanton.mode == "raw"
         assert cfg.seeds == (0,)
         assert cfg.telemetry.h and cfg.telemetry.ratio and cfg.telemetry.dual_grad_norm
 
@@ -657,7 +658,7 @@ class TestCompareRuns:
         a = str(tmp_path / "a")
         _fabricate_run(a, {3: [1.0], 4: [2.0]}, kind="sgd")
         cfg = read_run_config(a)
-        assert cfg.optimizer_kind == "sgd"
+        assert cfg.lanton.kind == "sgd"
         assert [(seed, columns.losses) for seed, columns in read_seeds(a, cfg)] == [(3, [1.0]), (4, [2.0])]
         assert not os.path.exists(os.path.join(a, "summary.json"))
 
@@ -842,6 +843,34 @@ class TestRunExperiment:
         assert not (outdir / "seed_1.csv").exists()
         assert not (outdir / "summary.json").exists()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_step_is_named(self, tmp_path, monkeypatch, workers):
+        run_experiment(self._cfg(tmp_path / "clean", seeds=[0, 1, 2], total_steps=10))
+        cfg = self._cfg(tmp_path, seeds=[0, 1, 2], total_steps=10)
+        exact_execute_run, exact_value_grad = harness.execute_run, harness.value_grad
+        # Each seed runs on one thread; seed 1's fourth gradient is its step 3.
+        local = threading.local()
+
+        def mark_seed(cfg, seed, task=None):
+            local.seed, local.calls = seed, 0
+            return exact_execute_run(cfg, seed, task=task)
+
+        def raise_on_seed_1_step_3(task, params, work=None):
+            local.calls += 1
+            if local.seed == 1 and local.calls == 4:
+                raise RuntimeError("boom")
+            return exact_value_grad(task, params, work)
+
+        monkeypatch.setattr(harness, "execute_run", mark_seed)
+        monkeypatch.setattr(harness, "value_grad", raise_on_seed_1_step_3)
+        with pytest.raises(RuntimeError, match="^seed 1: step 3: boom$"):
+            run_experiment(cfg, workers=workers)
+        outdir, clean = tmp_path / "run", tmp_path / "clean" / "run"
+        for seed in (0, 2):
+            assert (outdir / f"seed_{seed}.csv").read_bytes() == (clean / f"seed_{seed}.csv").read_bytes()
+        assert not (outdir / "seed_1.csv").exists()
+        assert not (outdir / "summary.json").exists()
+
     def test_threshold_in_summary(self, tmp_path):
         cfg = self._cfg(tmp_path, loss_threshold=1.0, total_steps=40)
         summary, _ = run_experiment(cfg)
@@ -854,7 +883,7 @@ class TestRunExperiment:
         with open(tmp_path / "run" / "config.json") as f:
             echo = json.load(f)
         assert echo == canonical_config(cfg)
-        assert set(echo["optimizer"]) == {f.name for f in OPTIONS} | {"kind", "mode"}
+        assert set(echo["optimizer"]) == {f.name for f in OPTIONS}
         assert set(echo["telemetry"]) == {f.name for f in fields(TelemetryFlags)}
         reparsed = parse_config(json.dumps({
             "task": echo["task"], "optimizer": echo["optimizer"],

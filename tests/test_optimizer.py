@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -184,31 +185,31 @@ class TestLantonStep:
         for _ in range(5):
             grads = {l.name: rng.standard_normal(l.shape) for l in layers}
             d1, st1 = lanton_step(s1, grads, cfg, twins=dict(grads))
-            d2, st2 = baseline_step("fixed_rate_lmo", s2, grads, cfg)
+            d2, st2 = baseline_step(s2, grads, replace(cfg, kind="fixed_rate_lmo"))
             for name in d1:
                 assert np.array_equal(d1[name], d2[name])
                 assert st1[name].ratio == 1.0 and st2[name].ratio == 1.0
 
     def test_practical_mode_hidden_lr(self):
         # option I skips the tracker on the first step, so the preset H holds
-        cfg = _cfg(eta_max=0.1, eta_min=0.1, hidden_scale=0.2, noise_option="I",
+        cfg = _cfg(mode="practical", eta_max=0.1, eta_min=0.1, hidden_scale=0.2, noise_option="I",
                    noise_update_interval=1, oracle_polar=True)
         layers = _hidden_layers(2, shape=(2, 2))
         state = init_state(layers)
         state.h["l1"] = 15.0 * cfg.alpha ** 2  # alpha_l = 1/4 -> ratio 0.25
         grads = {l.name: np.eye(2) for l in layers}
-        _, stats = lanton_step(state, grads, cfg, mode="practical")
+        _, stats = lanton_step(state, grads, cfg)
         assert stats["l1"].eta_eff == pytest.approx(0.2 * 0.1 * math.sqrt(2 * 0.25), rel=1e-9)
         assert stats["l0"].eta_eff == pytest.approx(0.2 * 0.1 * math.sqrt(2.0), rel=1e-9)
 
     def test_practical_mode_group_scales(self):
-        cfg = _cfg(eta_max=0.1, eta_min=0.1, r1=300.0, r2=1.0, noise_option="II",
+        cfg = _cfg(mode="practical", eta_max=0.1, eta_min=0.1, r1=300.0, r2=1.0, noise_option="II",
                    noise_update_interval=1)
         layers = [LayerSpec("e", (2, 2), Group.EMBEDDING_HEAD),
                   LayerSpec("v", (3,), Group.VECTOR_NORM)]
         state = init_state(layers)
         grads = {"e": np.ones((2, 2)), "v": np.ones(3)}
-        _, stats = lanton_step(state, grads, cfg, mode="practical", twins=dict(grads))
+        _, stats = lanton_step(state, grads, cfg, twins=dict(grads))
         assert stats["e"].eta_eff == pytest.approx(300.0 * 0.1, rel=1e-12)
         assert stats["v"].eta_eff == pytest.approx(1.0 * 0.1, rel=1e-12)
 
@@ -282,25 +283,21 @@ class TestLantonStep:
         assert stats["l0"].eta_eff > stats["l1"].eta_eff > stats["l2"].eta_eff
 
     def test_unknown_mode(self):
-        cfg = _cfg(noise_option="II", noise_update_interval=1)
-        state = init_state(_hidden_layers(1))
-        g = {"l0": np.ones((3, 3))}
-        with pytest.raises(ValueError):
-            lanton_step(state, g, cfg, mode="turbo", twins=dict(g))
+        with pytest.raises(ConfigError) as info:
+            LantonConfig(total_steps=10, mode="turbo")
+        assert info.value.field == "mode"
 
     @pytest.mark.parametrize("kind", ["lanton", "fixed_rate_lmo", "signum", "sgd"])
-    def test_unknown_mode_leaves_state_unchanged(self, kind):
-        def step(grads, **kw):
-            if kind == "lanton":
-                return lanton_step(state, grads, cfg, **kw)
-            return baseline_step(kind, state, grads, cfg, **kw)
-
-        cfg = _cfg(noise_option="I", noise_update_interval=1)
+    def test_wrong_kind_leaves_state_unchanged(self, kind):
+        # Each step function takes only its own kinds: lanton_step refuses a
+        # baseline's config and baseline_step lanton's, before any write.
+        right, wrong = (lanton_step, baseline_step) if kind == "lanton" else (baseline_step, lanton_step)
+        cfg = _cfg(kind=kind, noise_option="I", noise_update_interval=1)
         state = init_state(_hidden_layers(2))
-        step({l.name: np.eye(3) for l in state.layers})
+        right(state, {l.name: np.eye(3) for l in state.layers}, cfg)
         before = _snapshot(state)
-        with pytest.raises(ValueError, match="mode"):
-            step({l.name: 2.0 * np.eye(3) for l in state.layers}, mode="bogus")
+        with pytest.raises(ValueError, match=f"got '{kind}'"):
+            wrong(state, {l.name: 2.0 * np.eye(3) for l in state.layers}, cfg)
         _assert_unchanged(state, before)
 
     @pytest.mark.parametrize("case", ["none", "missing", "extra", "shape", "non_finite"])
@@ -338,16 +335,16 @@ class TestBaselines:
         cfg = _cfg(eta_max=0.1, eta_min=0.1, beta1=0.9)
         state = init_state([LayerSpec("e", (2, 2), Group.EMBEDDING_HEAD)])
         b = np.array([[2.0, -3.0], [0.0, 1.0]])
-        deltas, stats = baseline_step("signum", state, {"e": b}, cfg)
+        deltas, stats = baseline_step(state, {"e": b}, replace(cfg, kind="signum"))
         assert np.array_equal(deltas["e"], np.array([[-0.1, 0.1], [0.0, -0.1]]))
         assert stats["e"].ratio == 1.0
 
     def test_signum_uses_momentum(self):
-        cfg = _cfg(eta_max=0.1, eta_min=0.1, beta1=0.5)
+        cfg = _cfg(kind="signum", eta_max=0.1, eta_min=0.1, beta1=0.5)
         state = init_state([LayerSpec("e", (1, 2), Group.EMBEDDING_HEAD)])
-        baseline_step("signum", state, {"e": np.array([[1.0, -1.0]])}, cfg)
+        baseline_step(state, {"e": np.array([[1.0, -1.0]])}, cfg)
         # second gradient flips sign but momentum keeps the old direction
-        deltas, _ = baseline_step("signum", state, {"e": np.array([[-0.2, 0.2]])}, cfg)
+        deltas, _ = baseline_step(state, {"e": np.array([[-0.2, 0.2]])}, cfg)
         assert np.array_equal(deltas["e"], np.array([[-0.1, 0.1]]))
 
     def test_sgd_quadratic_contraction(self):
@@ -355,15 +352,14 @@ class TestBaselines:
         state = init_state([LayerSpec("x", (1,), Group.VECTOR_NORM)])
         x = np.array([1.0])
         for t in range(5):
-            deltas, _ = baseline_step("sgd", state, {"x": x.copy()}, cfg)
+            deltas, _ = baseline_step(state, {"x": x.copy()}, replace(cfg, kind="sgd"))
             x = x + deltas["x"]
             assert x[0] == pytest.approx(0.5 ** (t + 1), rel=1e-15)
 
     def test_unknown_kind(self):
-        cfg = _cfg()
-        state = init_state(_hidden_layers(1))
-        with pytest.raises(ValueError):
-            baseline_step("adam", state, {"l0": np.ones((3, 3))}, cfg)
+        with pytest.raises(ConfigError) as info:
+            replace(_cfg(), kind="adam")
+        assert info.value.field == "kind"
 
 
 def test_effective_lr_bounds_after_warmup():
@@ -414,9 +410,16 @@ def test_alpha_default_follows_beta1():
 
 def test_needs_twins_only_on_option_two_tracker_steps():
     cfg = _cfg(noise_option="II", noise_update_interval=3)
-    assert [needs_twins("lanton", cfg, t) for t in range(4)] == [True, False, False, True]
-    assert not any(needs_twins(kind, cfg, 0) for kind in ("fixed_rate_lmo", "signum", "sgd"))
-    assert not needs_twins("lanton", _cfg(noise_option="I", noise_update_interval=3), 0)
+    assert [needs_twins(cfg, t) for t in range(4)] == [True, False, False, True]
+    assert not any(needs_twins(replace(cfg, kind=kind), 0) for kind in ("fixed_rate_lmo", "signum", "sgd"))
+    assert not needs_twins(_cfg(noise_option="I", noise_update_interval=3), 0)
+
+
+def test_config_is_frozen():
+    cfg = _cfg()
+    with pytest.raises(FrozenInstanceError):
+        cfg.mode = "practical"
+    assert cfg.mode == "raw"
 
 
 def test_layer_spec_validation():
