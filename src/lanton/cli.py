@@ -37,7 +37,6 @@ from .harness import (
     _read_text,
     _write_text_atomic,
 )
-from .tasks import NoiseProfile
 
 __all__ = ["main"]
 
@@ -122,12 +121,11 @@ def _cmd_diagnose(args) -> int:
     # The layers and noise radii come from the config alone: the task (an
     # MLP's dataset, a quadratic's targets) is never built.
     layers = task_layers(cfg.task_section)
-    layer_groups = {spec.name: spec.group.value for spec, _ in layers}
-    consts = [default_equivalence_constants(spec.group, spec.shape) for spec, _ in layers]
+    layer_groups = {spec.name: spec.group.value for spec in layers}
+    consts = [default_equivalence_constants(spec.group, spec.shape) for spec in layers]
     c1 = min(c for c, _ in consts)
     c2 = max(c for _, c in consts)
-    profile = NoiseProfile({spec.name: radii for spec, radii in layers})
-    params = BoundParams(c1=c1, c2=c2, delta=delta, beta2=opt.beta2, profile=profile)
+    params = BoundParams(c1=c1, c2=c2, delta=delta, beta2=opt.beta2, layers=layers)
     # The tracker envelopes hold for a twin-gradient tracker updated every
     # step. A check whose telemetry column the run switched off is skipped.
     interval_ok = (opt.kind == "lanton" and opt.noise_option == "II"

@@ -1,8 +1,8 @@
 """Post-hoc checks of the tracker and rate-ratio bounds on instrumented runs.
 
 Given a telemetry stream from a run with twin-gradient tracking at interval 1
-and a known noise profile, the tracker obeys deterministic and probabilistic
-envelopes:
+and the run's layers, whose ``LayerSpec``s hold their noise radii, the
+tracker obeys deterministic and probabilistic envelopes:
 
 * upper (deterministic, from the triangle inequality):
       H_t <= 4 * sigma_hi^2 * (1 - beta2^t)
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .norms import Group
-from .tasks import NoiseProfile
+from .optimizer import LayerSpec
 
 __all__ = [
     "BoundParams",
@@ -50,13 +50,14 @@ _FP_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class BoundParams:
-    """Constants feeding the tracker and ratio bound checks."""
+    """Constants feeding the tracker and ratio bound checks; ``layers`` are
+    the run's layers, whose specs hold their noise radii."""
 
     c1: float
     c2: float
     delta: float
     beta2: float
-    profile: NoiseProfile
+    layers: tuple[LayerSpec, ...]
 
     def __post_init__(self):
         if not 0 < self.c1 <= self.c2:
@@ -144,10 +145,11 @@ def h_bounds_check(columns, params: BoundParams) -> dict:
     """
     total = _steps(columns)
     names = columns.layers
-    radii = params.profile.radii
+    by_name = {spec.name: spec for spec in params.layers}
     for name in names:
-        if name not in radii:
-            raise ValueError(f"layer {name}: missing noise radii in profile")
+        if name not in by_name:
+            raise ValueError(f"layer {name}: not among the bound parameters' layers")
+    specs = [by_name[name] for name in names]
     beta2 = params.beta2
     c2 = params.c2
     t0 = tracker_burn_in(beta2)
@@ -158,17 +160,17 @@ def h_bounds_check(columns, params: BoundParams) -> dict:
     fills = np.array([1.0 - beta2 ** (step + 1) for step in range(first, total)], dtype=np.float64)
     n_checked = len(fills)
     hs = _h_rows(columns, layer_major=True)[:, first:]
-    upper_k = np.array([4.0 * radii[name][1] * radii[name][1] for name in names])[:, None]
-    lower_k = np.array([radii[name][0] * radii[name][0] for name in names])[:, None]
+    upper_k = np.array([4.0 * spec.sigma_hi * spec.sigma_hi for spec in specs])[:, None]
+    lower_k = np.array([spec.sigma_lo * spec.sigma_lo for spec in specs])[:, None]
     # Each bound in the order of its scalar form, one (layers x steps) array.
     with np.errstate(all="ignore"):
         upper_viol = np.count_nonzero(hs > upper_k * fills * (1.0 + _FP_SLACK) + 1e-15, axis=1)
         lower_viol = np.count_nonzero(hs < lower_k * fills / c2 * (1.0 - _FP_SLACK) - 1e-15, axis=1)
     report_layers = []
-    for name, up, low in zip(names, upper_viol.tolist(), lower_viol.tolist()):
-        lo, hi = radii[name]
+    for spec, up, low in zip(specs, upper_viol.tolist(), lower_viol.tolist()):
+        lo, hi = spec.sigma_lo, spec.sigma_hi
         report_layers.append({
-            "layer": name,
+            "layer": spec.name,
             "sigma_lo": lo,
             "sigma_hi": hi,
             "steps_checked": n_checked,
@@ -180,10 +182,11 @@ def h_bounds_check(columns, params: BoundParams) -> dict:
 
 
 def compute_alpha_r(alpha: float, params: BoundParams) -> float:
-    """Lower envelope for the rate ratio given the noise profile."""
-    sigma_hi_max = max(hi for _, hi in params.profile.radii.values())
+    """Lower envelope for the rate ratio given the layers' noise radii."""
+    sigma_hi_max = max(spec.sigma_hi for spec in params.layers)
     kappas = []
-    for lo, hi in params.profile.radii.values():
+    for spec in params.layers:
+        lo, hi = spec.sigma_lo, spec.sigma_hi
         if lo > 0.0:
             kappas.append(hi / lo)
         elif hi == 0.0:

@@ -41,7 +41,6 @@ from .optimizer import (
 )
 from .tasks import (
     MlpTask,
-    NoiseProfile,
     gen_dataset,
     heterogeneous_layers,
     layered_quadratic,
@@ -326,20 +325,19 @@ def task_signature(task_section: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def task_layers(task_section: dict) -> list[tuple[LayerSpec, tuple[float, float]]]:
-    """The ``(LayerSpec, (sigma_lo, sigma_hi))`` pairs of a parsed task
-    section, in the task's layer order. Draws no data: readers of a run
-    directory learn the layers from this without building the task."""
+def task_layers(task_section: dict) -> tuple[LayerSpec, ...]:
+    """The ``LayerSpec``s of a parsed task section, in the task's layer
+    order; each spec holds its layer's noise radii. Draws no data: readers
+    of a run directory learn the layers from this without building the task."""
     if task_section["kind"] == "mlp":
-        noise = task_section["noise"]
-        return [(spec, tuple(noise[spec.name])) for spec in mlp_layers(task_section["widths"])]
+        return mlp_layers(task_section["widths"], task_section["noise"])
     if "preset" in task_section:
         # A parsed preset section holds exactly the layer builder's
         # parameters, plus the seed of the targets.
         params = {k: v for k, v in task_section.items() if k not in ("kind", "preset", "seed")}
         return _PRESETS[task_section["preset"]](**params)
-    return [(LayerSpec(l["name"], tuple(l["shape"]), Group(l["group"]), l["smoothness"]),
-             (l["sigma_lo"], l["sigma_hi"])) for l in task_section["layers"]]
+    return tuple(LayerSpec(l["name"], tuple(l["shape"]), Group(l["group"]), l["smoothness"],
+                           l["sigma_lo"], l["sigma_hi"]) for l in task_section["layers"])
 
 
 def build_task(task_section: dict):
@@ -347,14 +345,9 @@ def build_task(task_section: dict):
     layers = task_layers(task_section)
     if task_section["kind"] != "mlp":
         return layered_quadratic(layers, task_section["seed"])
-    widths = tuple(task_section["widths"])
-    return MlpTask(
-        widths=widths,
-        dataset=gen_dataset(widths, task_section["n_samples"], task_section["label_noise"],
-                            task_section["dataset_seed"]),
-        noise=NoiseProfile({layer.name: radii for layer, radii in layers}),
-        seed=task_section["seed"],
-    )
+    dataset = gen_dataset(task_section["widths"], task_section["n_samples"], task_section["label_noise"],
+                          task_section["dataset_seed"])
+    return MlpTask(layers, dataset, seed=task_section["seed"])
 
 
 # ----------------------------------------------------------------------------
@@ -388,9 +381,9 @@ def execute_run(cfg: ExperimentConfig, seed: int, task=None) -> tuple[list[RunRe
                     break
                 twins = None
                 if needs_twins(opt, t):
-                    grads, twins = perturb_gradients(layers, exact, task.noise, rngs, twin=True)
+                    grads, twins = perturb_gradients(layers, exact, rngs, twin=True)
                 else:
-                    grads = perturb_gradients(layers, exact, task.noise, rngs)
+                    grads = perturb_gradients(layers, exact, rngs)
                 if opt.kind == "lanton":
                     deltas, stats = lanton_step(state, grads, opt, twins, params, cfg.telemetry)
                 else:
@@ -404,8 +397,8 @@ def execute_run(cfg: ExperimentConfig, seed: int, task=None) -> tuple[list[RunRe
                     wall_ns=time.perf_counter_ns() - tick,
                 ))
             except GradientError:
-                # A non-finite gradient ends this seed like a non-finite loss;
-                # the other seeds run on.
+                # A non-finite gradient or tracker value ends this seed like
+                # a non-finite loss; the other seeds run on.
                 aborted_at = t
                 break
             except Exception as exc:
@@ -839,7 +832,7 @@ def read_seeds(path: str, cfg: ExperimentConfig):
     config is ``cfg``, in the order of ``cfg.seeds``. Each seed CSV is held to
     the task's layers and the run's step count, and is read only when the
     loop reaches it."""
-    names = [spec.name for spec, _ in task_layers(cfg.task_section)]
+    names = [spec.name for spec in task_layers(cfg.task_section)]
     for seed in cfg.seeds:
         yield seed, read_columns(seed_csv(path, seed), names, cfg.total_steps)
 

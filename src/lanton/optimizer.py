@@ -82,17 +82,26 @@ def check_layer_name(name: str, path: str = "name") -> str:
 
 
 class GradientError(ValueError):
-    """A gradient carried NaN/Inf entries; the message names the layer."""
+    """A gradient, or the tracker value it gave, was not finite; the message
+    names the layer."""
 
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """Shape, group membership and optional curvature bound of one layer."""
+    """Shape, group membership, optional curvature bound and noise radii of
+    one layer.
+
+    ``sigma_lo`` and ``sigma_hi`` bound the dual norm of the synthetic noise
+    a task adds to the layer's gradients (zero for a noiseless layer); the
+    noise sampler and the tracker diagnostics read them from here.
+    """
 
     name: str
     shape: tuple[int, ...]
     group: Group
     smoothness: float | None = None
+    sigma_lo: float = 0.0
+    sigma_hi: float = 0.0
 
     def __post_init__(self):
         check_layer_name(self.name)
@@ -102,6 +111,11 @@ class LayerSpec:
             raise ValueError(f"layer {self.name}: group {self.group.value} needs a {self.group.rank}-D shape")
         if self.smoothness is not None and self.smoothness < 0:
             raise ValueError(f"layer {self.name}: smoothness must be >= 0")
+        lo, hi = self.sigma_lo, self.sigma_hi
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"layer {self.name}: noise radii must be finite")
+        if lo < 0 or lo > hi:
+            raise ValueError(f"layer {self.name}: need 0 <= sigma_lo <= sigma_hi, got ({lo}, {hi})")
 
 
 def _option(json_type: type, default, **bounds):
@@ -213,7 +227,8 @@ def update_noise_tracker(state: LantonState, layer_name: str, g_t, other, cfg: L
     The step calls it only on tracker-update steps
     (``t % noise_update_interval == 0``). ``other`` is the previous gradient
     (option I) or the twin gradient (option II); passing None skips the
-    update, which is how option I's first step behaves.
+    update, which is how option I's first step behaves. A new H that is not
+    finite raises :class:`GradientError` and is not stored.
     """
     spec = state.layer(layer_name)
     h = state.h[layer_name]
@@ -228,6 +243,8 @@ def update_noise_tracker(state: LantonState, layer_name: str, g_t, other, cfg: L
         )
     diff = dual_norm(spec.group, g_t - other, embedding_dual=cfg.embedding_dual)
     h = cfg.beta2 * h + (1.0 - cfg.beta2) * diff * diff
+    if not math.isfinite(h):
+        raise GradientError(f"non-finite tracker value in layer {layer_name}")
     state.h[layer_name] = h
     return h
 

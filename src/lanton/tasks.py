@@ -8,9 +8,10 @@ Two task families:
   loss on a seeded synthetic regression dataset.
 
 Stochastic gradients add synthetic noise whose dual norm is drawn uniformly
-from a per-layer interval [sigma_lo, sigma_hi], so every draw respects the
-two-sided bound by construction. Sign symmetrization (flip with probability
-one half) makes the noise exactly zero-mean.
+from the interval [sigma_lo, sigma_hi] that the layer's ``LayerSpec`` holds,
+so every draw respects the two-sided bound by construction. Sign
+symmetrization (flip with probability one half) makes the noise exactly
+zero-mean.
 
 Random streams are derived from (seed, purpose, layer index) seed sequences,
 one independent stream per layer and purpose, so replay is deterministic and
@@ -30,7 +31,6 @@ from .norms import Group, dual_norm
 from .optimizer import LayerSpec
 
 __all__ = [
-    "NoiseProfile",
     "QuadraticTask",
     "Dataset",
     "MlpTask",
@@ -74,26 +74,11 @@ def noise_streams(seed: int, layers) -> dict[str, np.random.Generator]:
 
 
 @dataclass(frozen=True)
-class NoiseProfile:
-    """Per-layer dual-norm noise radii (sigma_lo, sigma_hi)."""
-
-    radii: dict[str, tuple[float, float]]
-
-    def __post_init__(self):
-        for name, (lo, hi) in self.radii.items():
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ValueError(f"layer {name}: noise radii must be finite")
-            if lo < 0 or lo > hi:
-                raise ValueError(f"layer {name}: need 0 <= sigma_lo <= sigma_hi, got ({lo}, {hi})")
-
-
-@dataclass(frozen=True)
 class QuadraticTask:
     """Sum of per-layer quadratics 0.5 * L_l * ||X_l - A_l||_F^2."""
 
     layers: tuple[LayerSpec, ...]
     targets: dict[str, np.ndarray]
-    noise: NoiseProfile
 
     def __post_init__(self):
         for spec in self.layers:
@@ -103,8 +88,6 @@ class QuadraticTask:
             if a.shape != tuple(spec.shape):
                 raise ValueError(f"layer {spec.name}: target shape {a.shape} != {spec.shape}")
             require_finite(f"target {spec.name}", a)
-            if spec.name not in self.noise.radii:
-                raise ValueError(f"layer {spec.name}: missing noise radii")
 
     def initial_params(self) -> dict[str, np.ndarray]:
         return {spec.name: np.zeros(spec.shape) for spec in self.layers}
@@ -124,37 +107,44 @@ class Dataset:
         require_finite("labels", self.labels)
 
 
-def mlp_layers(widths) -> tuple[LayerSpec, ...]:
-    """The two weight layers of the MLP with these (input, hidden, output) widths."""
+def mlp_layers(widths, radii) -> tuple[LayerSpec, ...]:
+    """The two weight layers of the MLP with these (input, hidden, output)
+    widths; ``radii`` maps ``w1`` and ``w2`` to their (sigma_lo, sigma_hi)."""
     i, h, o = widths
     return (
-        LayerSpec("w1", (h, i), Group.HIDDEN),
-        LayerSpec("w2", (o, h), Group.HIDDEN),
+        LayerSpec("w1", (h, i), Group.HIDDEN, None, *radii["w1"]),
+        LayerSpec("w2", (o, h), Group.HIDDEN, None, *radii["w2"]),
     )
 
 
 @dataclass(frozen=True)
 class MlpTask:
-    """Two-layer tanh network w2 @ tanh(w1 @ x) trained with mean squared error."""
+    """Two-layer tanh network w2 @ tanh(w1 @ x) trained with mean squared error.
 
-    widths: tuple[int, int, int]
+    ``layers`` must be ``mlp_layers`` of one set of widths, which they give.
+    """
+
+    layers: tuple[LayerSpec, ...]
     dataset: Dataset
-    noise: NoiseProfile
     seed: int = 0
 
     def __post_init__(self):
-        if any(w < 1 for w in self.widths):
-            raise ValueError("widths must be >= 1")
+        try:
+            radii = {spec.name: (spec.sigma_lo, spec.sigma_hi) for spec in self.layers}
+            ok = tuple(self.layers) == mlp_layers(self.widths, radii)
+        except (KeyError, ValueError):  # not two 2-D layers named w1 and w2
+            ok = False
+        if not ok:
+            raise ValueError("layers are not the mlp_layers of one set of widths")
         i, _, o = self.widths
         if self.dataset.features.shape[1] != i or self.dataset.labels.shape[1] != o:
             raise ValueError("dataset dims do not match widths")
-        for name in ("w1", "w2"):
-            if name not in self.noise.radii:
-                raise ValueError(f"missing noise radii for {name}")
 
     @property
-    def layers(self) -> tuple[LayerSpec, ...]:
-        return mlp_layers(self.widths)
+    def widths(self) -> tuple[int, int, int]:
+        """The (input, hidden, output) widths the two layers' shapes give."""
+        (h, i), (o, _) = (spec.shape for spec in self.layers)
+        return i, h, o
 
     def initial_params(self) -> dict[str, np.ndarray]:
         i, h, o = self.widths
@@ -234,38 +224,33 @@ def value_grad(task, x, work: dict | None = None):
     raise TypeError(f"unsupported task type {type(task).__name__}")
 
 
-def sample_dual_noise(group: Group, shape, sigma_lo: float, sigma_hi: float,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Noise element whose dual norm is uniform on [sigma_lo, sigma_hi].
+def sample_dual_noise(spec: LayerSpec, rng: np.random.Generator) -> np.ndarray:
+    """Noise element for the layer ``spec`` whose dual norm is uniform on the
+    layer's [sigma_lo, sigma_hi].
 
     Entries are drawn i.i.d. standard normal and rescaled so the dual norm
     equals the drawn radius exactly (a zero draw is resampled). A zero upper
     radius returns the exact zero element without consuming the stream.
     """
-    if sigma_lo < 0 or sigma_lo > sigma_hi:
-        raise ValueError(f"need 0 <= sigma_lo <= sigma_hi, got ({sigma_lo}, {sigma_hi})")
-    if sigma_hi == 0.0:
-        return np.zeros(shape)
+    lo, hi = spec.sigma_lo, spec.sigma_hi
+    if hi == 0.0:
+        return np.zeros(spec.shape)
     # rng.uniform(lo, hi) is lo + (hi - lo) * u on the same double u, so this
-    # draws the same bits from the same stream position, without the wrapper;
-    # like uniform, it rejects a span that is not finite.
-    span = sigma_hi - sigma_lo
-    if not math.isfinite(span):
-        raise OverflowError(f"noise radii ({sigma_lo}, {sigma_hi}) span no finite range")
-    radius = sigma_lo + span * rng.random()
+    # draws the same bits from the same stream position, without the wrapper.
+    radius = lo + (hi - lo) * rng.random()
     while True:
-        sample = rng.standard_normal(shape)
-        nrm = dual_norm(group, sample)
+        sample = rng.standard_normal(spec.shape)
+        nrm = dual_norm(spec.group, sample)
         if nrm > 0.0:
             break
     if radius == 0.0:
-        return np.zeros(shape)
+        return np.zeros(spec.shape)
     return sample * (radius / nrm)
 
 
-def perturb_gradients(layers, exact_grads, noise: NoiseProfile,
-                      rngs: dict[str, np.random.Generator], twin: bool = False):
-    """Add sign-symmetrized dual-norm noise to exact gradients.
+def perturb_gradients(layers, exact_grads, rngs: dict[str, np.random.Generator], twin: bool = False):
+    """Add sign-symmetrized dual-norm noise, within each layer's radii, to
+    exact gradients.
 
     With ``twin=True`` two independently perturbed copies are returned, both
     evaluated at the same point. Each layer's draws come from its own stream,
@@ -273,15 +258,13 @@ def perturb_gradients(layers, exact_grads, noise: NoiseProfile,
     """
     outs = [dict() for _ in range(2 if twin else 1)]
     for spec in layers:
-        lo, hi = noise.radii[spec.name]
         rng = rngs[spec.name]
-        shape = tuple(spec.shape)
         g = np.asarray(exact_grads[spec.name], dtype=np.float64)
         for out in outs:
-            e = sample_dual_noise(spec.group, shape, lo, hi, rng)
+            e = sample_dual_noise(spec, rng)
             # random() < 0.5 reads the double that uniform() would; g - e is
             # g + (-e) to the bit, as negation is exact.
-            out[spec.name] = g - e if hi > 0.0 and rng.random() < 0.5 else g + e
+            out[spec.name] = g - e if spec.sigma_hi > 0.0 and rng.random() < 0.5 else g + e
     return (outs[0], outs[1]) if twin else outs[0]
 
 
@@ -309,31 +292,31 @@ def gen_dataset(widths, n_samples: int, label_noise: float, seed: int) -> Datase
 
 
 def layered_quadratic(layers, seed: int) -> QuadraticTask:
-    """Quadratic over ``(LayerSpec, (sigma_lo, sigma_hi))`` pairs; layer i's
-    target is drawn from the seed's i-th target stream (unit norm in mean)."""
-    specs = tuple(spec for spec, _ in layers)
+    """Quadratic over the ``LayerSpec`` list ``layers``; layer i's target is
+    drawn from the seed's i-th target stream (unit norm in mean)."""
+    layers = tuple(layers)
     targets = {}
-    for i, spec in enumerate(specs):
+    for i, spec in enumerate(layers):
         a = _stream(seed, _PURPOSE_TARGETS, i).standard_normal(spec.shape)
         targets[spec.name] = a / math.sqrt(a.size)
-    return QuadraticTask(specs, targets, NoiseProfile({spec.name: radii for spec, radii in layers}))
+    return QuadraticTask(layers, targets)
 
 
-def transformer_layers(shape, smoothness: float):
-    """``(LayerSpec, (sigma_lo, sigma_hi))`` pairs of the transformer preset:
-    hidden layers with the per-role noise radii."""
-    return [(LayerSpec(name, tuple(shape), Group.HIDDEN, smoothness), radii)
-            for name, radii in sorted(TRANSFORMER_NOISE_RADII.items())]
+def transformer_layers(shape, smoothness: float) -> tuple[LayerSpec, ...]:
+    """The layers of the transformer preset: hidden layers with the per-role
+    noise radii."""
+    return tuple(LayerSpec(name, tuple(shape), Group.HIDDEN, smoothness, *radii)
+                 for name, radii in sorted(TRANSFORMER_NOISE_RADII.items()))
 
 
 def heterogeneous_layers(n_layers: int, spread: float, sigma_hi_base: float,
-                         lo_frac: float, shape, smoothness: float):
-    """``(LayerSpec, (sigma_lo, sigma_hi))`` pairs of the heterogeneous preset:
-    hidden layers whose upper noise radii span a `spread` factor."""
+                         lo_frac: float, shape, smoothness: float) -> tuple[LayerSpec, ...]:
+    """The layers of the heterogeneous preset: hidden layers whose upper
+    noise radii span a `spread` factor."""
     if n_layers < 2:
         raise ValueError("need at least 2 layers")
     layers = []
     for i in range(n_layers):
         hi = sigma_hi_base * spread ** (i / (n_layers - 1))
-        layers.append((LayerSpec(f"layer{i}", tuple(shape), Group.HIDDEN, smoothness), (lo_frac * hi, hi)))
-    return layers
+        layers.append(LayerSpec(f"layer{i}", tuple(shape), Group.HIDDEN, smoothness, lo_frac * hi, hi))
+    return tuple(layers)

@@ -59,9 +59,10 @@ def h_bounds_check(records, params: BoundParams) -> dict:
     if not records:
         raise ValueError("empty record stream")
     names = list(records[0].layers)
+    radii = {spec.name: (spec.sigma_lo, spec.sigma_hi) for spec in params.layers}
     for name in names:
-        if name not in params.profile.radii:
-            raise ValueError(f"layer {name}: missing noise radii in profile")
+        if name not in radii:
+            raise ValueError(f"layer {name}: not among the bound parameters' layers")
     beta2 = params.beta2
     c2 = params.c2
     t0 = tracker_burn_in(beta2)
@@ -75,7 +76,7 @@ def h_bounds_check(records, params: BoundParams) -> dict:
     lo_slack = 1.0 - _FP_SLACK
     report_layers = []
     for name in names:
-        lo, hi = params.profile.radii[name]
+        lo, hi = radii[name]
         hs = _h_columns(records, [name])[0]
         upper_k = 4.0 * hi * hi
         lower_k = lo * lo

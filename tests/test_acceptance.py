@@ -150,7 +150,7 @@ def test_criterion_04_tracker_closed_form():
 def test_criterion_05_deterministic_upper_bound(preset_runs):
     cfg, task, runs, elapsed = preset_runs
     params = BoundParams(c1=1.0 / math.sqrt(8.0), c2=1.0, delta=0.05,
-                         beta2=cfg.lanton.beta2, profile=task.noise)
+                         beta2=cfg.lanton.beta2, layers=task.layers)
     upper = 0
     lower_rates = []
     names = [layer.name for layer in task.layers]
@@ -170,7 +170,7 @@ def test_criterion_05_deterministic_upper_bound(preset_runs):
 def test_criterion_06_ratio_envelope(preset_runs):
     cfg, task, runs, _ = preset_runs
     params = BoundParams(c1=1.0 / math.sqrt(8.0), c2=1.0, delta=0.05,
-                         beta2=cfg.lanton.beta2, profile=task.noise)
+                         beta2=cfg.lanton.beta2, layers=task.layers)
     alpha_r = compute_alpha_r(cfg.lanton.alpha, params)
     below = 0
     min_ratio = math.inf
@@ -237,7 +237,7 @@ def hetero_runs():
 def test_criterion_08_heterogeneity_adaptation(hetero_runs):
     task, runs, _ = hetero_runs
     names = [l.name for l in task.layers]
-    sigma_hi = [task.noise.radii[n][1] for n in names]
+    sigma_hi = [l.sigma_hi for l in task.layers]
     assert max(sigma_hi) / min(sigma_hi) == pytest.approx(100.0, rel=1e-9)
     rho_h = []
     rho_eta = []

@@ -19,8 +19,7 @@ from lanton.diagnostics import (
 )
 from lanton.harness import RunRecord, build_task, columns_of, execute_run, parse_config
 from lanton.norms import Group
-from lanton.optimizer import LayerStats
-from lanton.tasks import NoiseProfile
+from lanton.optimizer import LayerSpec, LayerStats
 
 from spearman import rank_correlation
 
@@ -40,8 +39,13 @@ def _columns(records):
     return columns_of(records, records[0].layers)
 
 
-def _params(profile, beta2=0.9, c2=1.0, delta=0.05):
-    return BoundParams(c1=0.1, c2=c2, delta=delta, beta2=beta2, profile=profile)
+def _layers(radii):
+    """One vector layer per name, with that name's (sigma_lo, sigma_hi)."""
+    return tuple(LayerSpec(name, (1,), Group.VECTOR_NORM, None, lo, hi) for name, (lo, hi) in radii.items())
+
+
+def _params(layers, beta2=0.9, c2=1.0, delta=0.05):
+    return BoundParams(c1=0.1, c2=c2, delta=delta, beta2=beta2, layers=layers)
 
 
 class TestRankCorrelation:
@@ -74,9 +78,9 @@ class TestRankCorrelation:
 
 class TestHBoundsCheck:
     def test_noiseless_layer_no_violations(self):
-        profile = NoiseProfile({"a": (0.0, 0.0)})
+        layers = _layers({"a": (0.0, 0.0)})
         records = [_record(t, {"a": 0.0}) for t in range(50)]
-        report = h_bounds_check(_columns(records), _params(profile))
+        report = h_bounds_check(_columns(records), _params(layers))
         layer = report["layers"][0]
         assert layer["upper_violations"] == 0
         assert layer["lower_violation_rate"] == 0.0
@@ -94,46 +98,46 @@ class TestHBoundsCheck:
             "seeds": [0], "total_steps": 300, "output_path": "unused"}))
         task = build_task(cfg.task_section)
         records, _ = execute_run(cfg, 0, task=task)
-        report = h_bounds_check(_columns(records), _params(task.noise))
+        report = h_bounds_check(_columns(records), _params(task.layers))
         assert report["layers"][0]["upper_violations"] == 0
         for rec in records:
             fill = 1.0 - 0.9 ** (rec.step + 1)
             assert rec.layers["a"].h <= 4.0 * 4.0 * fill * (1.0 + 1e-9)
 
     def test_upper_violation_detected(self):
-        profile = NoiseProfile({"a": (0.0, 1.0)})
+        layers = _layers({"a": (0.0, 1.0)})
         records = [_record(t, {"a": 10.0}) for t in range(20)]
-        report = h_bounds_check(_columns(records), _params(profile))
+        report = h_bounds_check(_columns(records), _params(layers))
         assert report["layers"][0]["upper_violations"] > 0
 
     def test_lower_violation_counted_not_fatal(self):
-        profile = NoiseProfile({"a": (1.0, 1.0)})
+        layers = _layers({"a": (1.0, 1.0)})
         records = [_record(t, {"a": 1e-6}) for t in range(20)]
-        report = h_bounds_check(_columns(records), _params(profile))
+        report = h_bounds_check(_columns(records), _params(layers))
         assert report["layers"][0]["upper_violations"] == 0
         assert report["layers"][0]["lower_violation_rate"] == 1.0
 
     def test_burn_in_skips_early_steps(self):
-        profile = NoiseProfile({"a": (1.0, 1.0)})
+        layers = _layers({"a": (1.0, 1.0)})
         records = [_record(t, {"a": 0.0}) for t in range(3)]  # all below t0
-        report = h_bounds_check(_columns(records), _params(profile))
+        report = h_bounds_check(_columns(records), _params(layers))
         assert report["layers"][0]["steps_checked"] == 0
 
     def test_missing_layer_in_profile(self):
         records = [_record(0, {"a": 0.0})]
         with pytest.raises(ValueError):
-            h_bounds_check(_columns(records), _params(NoiseProfile({"b": (0.0, 1.0)})))
+            h_bounds_check(_columns(records), _params(_layers({"b": (0.0, 1.0)})))
 
     def test_missing_telemetry(self):
-        profile = NoiseProfile({"a": (0.0, 1.0)})
+        layers = _layers({"a": (0.0, 1.0)})
         records = [_record(0, {"a": math.nan})]
         with pytest.raises(ValueError):
-            h_bounds_check(_columns(records), _params(profile))
+            h_bounds_check(_columns(records), _params(layers))
 
     def test_theory_floor_reported(self):
-        profile = NoiseProfile({"a": (0.5, 1.0), "b": (0.0, 0.0)})
+        layers = _layers({"a": (0.5, 1.0), "b": (0.0, 0.0)})
         records = [_record(t, {"a": 0.5, "b": 0.0}) for t in range(10)]
-        report = h_bounds_check(_columns(records), _params(profile))
+        report = h_bounds_check(_columns(records), _params(layers))
         by_name = {l["layer"]: l for l in report["layers"]}
         assert by_name["a"]["beta2_theory_floor"] is not None
         assert 0.99 < by_name["a"]["beta2_theory_floor"] < 1.0
@@ -142,39 +146,39 @@ class TestHBoundsCheck:
 
 class TestAlphaRatioEnvelope:
     def test_single_layer_ratio_is_one(self):
-        profile = NoiseProfile({"a": (0.5, 1.0)})
+        layers = _layers({"a": (0.5, 1.0)})
         records = [_record(t, {"a": 0.3}) for t in range(10)]
-        report = alpha_ratio_envelope(_columns(records), _params(profile), alpha=0.05)
+        report = alpha_ratio_envelope(_columns(records), _params(layers), alpha=0.05)
         assert report["min_ratio"] == 1.0
         assert report["max_ratio"] == 1.0
         assert report["frac_below_alpha_r"] == 0.0
 
     def test_alpha_r_formula(self):
-        profile = NoiseProfile({"a": (0.5, 1.0), "b": (0.1, 0.2)})
-        params = _params(profile, c2=4.0)
+        layers = _layers({"a": (0.5, 1.0), "b": (0.1, 0.2)})
+        params = _params(layers, c2=4.0)
         # kappa = 2, sigma_hi_max = 1
         expected = min(0.05 / math.sqrt(0.05 ** 2 + 4.0), 1.0 / (2.0 * 2.0 * 2.0))
         assert compute_alpha_r(0.05, params) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_lower_radius_degenerates(self):
-        profile = NoiseProfile({"a": (0.0, 1.0)})
-        assert compute_alpha_r(0.05, _params(profile)) == 0.0
+        layers = _layers({"a": (0.0, 1.0)})
+        assert compute_alpha_r(0.05, _params(layers)) == 0.0
 
     def test_noiseless_convention(self):
-        profile = NoiseProfile({"a": (0.0, 0.0)})
+        layers = _layers({"a": (0.0, 0.0)})
         # kappa = 1 by the zero-over-zero convention
         expected = min(1.0, 0.5)
-        assert compute_alpha_r(10.0, _params(profile)) == pytest.approx(expected)
+        assert compute_alpha_r(10.0, _params(layers)) == pytest.approx(expected)
 
     def test_ratio_above_one_rejected(self):
-        profile = NoiseProfile({"a": (0.0, 1.0)})
+        layers = _layers({"a": (0.0, 1.0)})
         records = [_record(0, {"a": 0.0}, ratio_by_layer={"a": 1.5})]
         with pytest.raises(ValueError):
-            alpha_ratio_envelope(_columns(records), _params(profile), alpha=0.05)
+            alpha_ratio_envelope(_columns(records), _params(layers), alpha=0.05)
 
     def test_fraction_below(self):
-        profile = NoiseProfile({"a": (1.0, 1.0)})
-        params = _params(profile)
+        layers = _layers({"a": (1.0, 1.0)})
+        params = _params(layers)
         alpha_r = compute_alpha_r(0.05, params)
         records = [
             _record(0, {"a": 0.0}, ratio_by_layer={"a": alpha_r / 2.0}),
@@ -245,15 +249,15 @@ class TestNoiseRangeEstimate:
 
 class TestBoundParams:
     def test_validation(self):
-        profile = NoiseProfile({"a": (0.0, 1.0)})
+        layers = _layers({"a": (0.0, 1.0)})
         with pytest.raises(ValueError):
-            BoundParams(c1=0.0, c2=1.0, delta=0.05, beta2=0.9, profile=profile)
+            BoundParams(c1=0.0, c2=1.0, delta=0.05, beta2=0.9, layers=layers)
         with pytest.raises(ValueError):
-            BoundParams(c1=2.0, c2=1.0, delta=0.05, beta2=0.9, profile=profile)
+            BoundParams(c1=2.0, c2=1.0, delta=0.05, beta2=0.9, layers=layers)
         with pytest.raises(ValueError):
-            BoundParams(c1=0.5, c2=0.9, delta=0.05, beta2=0.9, profile=profile)
+            BoundParams(c1=0.5, c2=0.9, delta=0.05, beta2=0.9, layers=layers)
         with pytest.raises(ValueError):
-            BoundParams(c1=0.5, c2=1.0, delta=1.5, beta2=0.9, profile=profile)
+            BoundParams(c1=0.5, c2=1.0, delta=1.5, beta2=0.9, layers=layers)
 
     def test_default_constants(self):
         c1, c2 = default_equivalence_constants(Group.HIDDEN, (8, 8))
@@ -315,11 +319,11 @@ _TWO_BAD_ROWS = [
 
 @pytest.mark.parametrize("check,bad,error,message", _TWO_BAD_ROWS)
 def test_first_bad_row_named(check, bad, error, message):
-    profile = NoiseProfile({name: (0.0, 1.0) for name in ("a", "b", "c")})
+    layers = _layers({name: (0.0, 1.0) for name in ("a", "b", "c")})
     run = {
-        h_bounds_check: lambda columns: h_bounds_check(columns, _params(profile)),
+        h_bounds_check: lambda columns: h_bounds_check(columns, _params(layers)),
         noise_range_estimate: lambda columns: noise_range_estimate(columns, beta2=0.9),
-        alpha_ratio_envelope: lambda columns: alpha_ratio_envelope(columns, _params(profile), alpha=0.05),
+        alpha_ratio_envelope: lambda columns: alpha_ratio_envelope(columns, _params(layers), alpha=0.05),
     }[check]
     with pytest.raises(error) as info:
         run(_columns(_stream_with(bad)))
@@ -384,7 +388,7 @@ def test_diagnostics_match_the_record_walk(stream, data):
              for name in names}
     params = BoundParams(c1=0.1, c2=data.draw(st.sampled_from([1.0, 2.0, 9.0])),
                          delta=0.05, beta2=data.draw(st.sampled_from([0.0, 0.5, 0.9, 0.999])),
-                         profile=NoiseProfile(radii))
+                         layers=_layers(radii))
     alpha = data.draw(st.sampled_from([0.05, 1.0, 1e3]))
     groups = data.draw(st.one_of(st.none(), st.fixed_dictionaries(
         {name: st.sampled_from(["hidden", "vector_norm"]) for name in names})))

@@ -95,7 +95,7 @@ class TestParseConfig:
         cfg = parse_config(json.dumps(raw))
         task = build_task(cfg.task_section)
         assert {l.name for l in task.layers} == {"a", "v"}
-        assert task.noise.radii["v"] == (0.0, 0.5)
+        assert {l.name: (l.sigma_lo, l.sigma_hi) for l in task.layers}["v"] == (0.0, 0.5)
 
     def test_preset_equals_its_layer_list(self):
         preset = build_task(parse_config(json.dumps(_stub_config(task={
@@ -104,10 +104,10 @@ class TestParseConfig:
         listed = build_task(parse_config(json.dumps(_stub_config(task={
             "kind": "quadratic", "seed": 5, "layers": [
                 {"name": spec.name, "shape": [3, 2], "group": "hidden", "smoothness": 2.0,
-                 "sigma_lo": preset.noise.radii[spec.name][0], "sigma_hi": preset.noise.radii[spec.name][1]}
+                 "sigma_lo": spec.sigma_lo, "sigma_hi": spec.sigma_hi}
                 for spec in preset.layers],
         }))).task_section)
-        assert listed.layers == preset.layers and listed.noise == preset.noise
+        assert listed.layers == preset.layers
         assert all(np.array_equal(listed.targets[k], v) for k, v in preset.targets.items())
 
     def test_layer_group_shape_arity(self):
@@ -404,6 +404,19 @@ class TestExecuteRun:
         assert summary["steps_run"] == 1
         assert math.isfinite(records[0].loss)
 
+    def test_tracker_overflow_aborts(self):
+        # H overflows to inf at step 1: the seed ends there, with step 0's
+        # record, instead of dividing by the group's largest alpha, 0.
+        cfg = parse_config(json.dumps({
+            "task": {"kind": "quadratic", "layers": [
+                {"name": "w", "shape": [1, 1], "group": "hidden", "smoothness": 100.0}]},
+            "optimizer": {"kind": "lanton", "eta_max": 1e153, "eta_min": 1e-3, "noise_update_interval": 1},
+            "seeds": [0], "total_steps": 4, "output_path": "unused"}))
+        records, summary = execute_run(cfg, 0)
+        assert summary["aborted_at"] == 1
+        assert summary["steps_run"] == len(records) == 1
+        assert math.isfinite(records[0].layers["w"].h)
+
     def test_lanton_noiseless_equals_fixed_rate(self):
         base = {
             "task": {"kind": "quadratic", "seed": 2, "layers": [
@@ -607,7 +620,7 @@ def _fabricate_run(path, losses_by_seed, task_seed=0, kind="lanton"):
     with open(os.path.join(path, "config.json"), "w") as f:
         json.dump(canonical_config(cfg), f)
     stats = LayerStats(eta_eff=0.0, ratio=1.0, h=0.0, dual_grad_norm=0.0)
-    names = [spec.name for spec, _ in task_layers(cfg.task_section)]
+    names = [spec.name for spec in task_layers(cfg.task_section)]
     for seed, losses in losses_by_seed.items():
         records = [RunRecord(step=t, loss=loss, layers=dict.fromkeys(names, stats))
                    for t, loss in enumerate(losses)]

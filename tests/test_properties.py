@@ -45,8 +45,8 @@ from lanton.harness import (
 from lanton.lmo import lmo, newton_schulz
 from lanton.norms import Group, dual_norm, primal_norm
 from lanton.optimizer import CSV_UNSAFE, LayerSpec, LayerStats
-from lanton.tasks import NoiseProfile, noise_streams, perturb_gradients
-from test_diagnostics import _TWO_BAD_ROWS, _stream_with
+from lanton.tasks import noise_streams, perturb_gradients
+from test_diagnostics import _TWO_BAD_ROWS, _layers, _stream_with
 
 _SEED = st.integers(0, 2**32)
 _DIM = st.integers(1, 6)
@@ -209,9 +209,7 @@ def test_parse_leaves_the_document_unchanged_and_unshared(raw):
 def test_task_layers_are_the_built_tasks(raw):
     section = parse_config(json.dumps(raw)).task_section
     task = build_task(section)
-    layers = task_layers(section)
-    assert tuple(spec for spec, _ in layers) == tuple(task.layers)
-    assert {spec.name: radii for spec, radii in layers} == task.noise.radii
+    assert task_layers(section) == tuple(task.layers)
 
 
 @given(st.data())
@@ -291,8 +289,30 @@ _ABORTS_AT_STEP_0 = {
 }
 
 
+# The tracker's H overflows to inf at step 1. With one layer in its group,
+# the group's largest alpha is then 0 and the ratio divides by it.
+_TRACKER_OVERFLOWS = {
+    "task": {"kind": "quadratic", "layers": [
+        {"name": "w", "shape": [1, 1], "group": "hidden", "smoothness": 100.0}]},
+    "optimizer": {"kind": "lanton", "eta_max": 1e153, "eta_min": 1e-3, "noise_update_interval": 1},
+    "seeds": [0], "total_steps": 4,
+}
+
+# H overflows to inf at step 1; with beta2 0 it becomes 0.0 * inf, a NaN,
+# at step 2, and so would the ratios the CSV holds.
+_TRACKER_GOES_NAN = {
+    "task": {"kind": "quadratic", "layers": [
+        {"name": "a", "shape": [1, 1], "group": "hidden", "smoothness": 6e196},
+        {"name": "b", "shape": [2, 3], "group": "hidden", "smoothness": 1e33}]},
+    "optimizer": {"kind": "lanton", "eta_max": 2e34, "noise_update_interval": 1, "beta2": 0.0},
+    "seeds": [0], "total_steps": 6,
+}
+
+
 @given(configs())
 @example(_ABORTS_AT_STEP_0)
+@example(_TRACKER_OVERFLOWS)
+@example(_TRACKER_GOES_NAN)
 def test_every_config_gives_a_run_dir_its_readers_take(tmp_path_factory, raw):
     # Whatever telemetry a config switches off, and however early its seeds
     # stop, diagnose and compare read the run directory it gives.
@@ -311,7 +331,7 @@ def test_every_config_gives_a_run_dir_its_readers_take(tmp_path_factory, raw):
     # the bits of the records its CSV parses to.
     for path in dirs:
         cfg = harness.read_run_config(path)
-        names = [spec.name for spec, _ in task_layers(cfg.task_section)]
+        names = [spec.name for spec in task_layers(cfg.task_section)]
         for seed in cfg.seeds:
             csv = harness.seed_csv(path, seed)
             assert os.path.exists(harness.columns_path(csv))
@@ -679,7 +699,7 @@ def test_diagnostics_give_the_same_report_from_columns(option_two_run_dirs, tmp_
              for name in _CORRUPT_LAYERS}
     params = BoundParams(c1=0.1, c2=data.draw(st.sampled_from([1.0, 2.0, 9.0])), delta=0.05,
                          beta2=data.draw(st.sampled_from([0.0, 0.5, 0.9, 0.999])),
-                         profile=NoiseProfile(radii))
+                         layers=_layers(radii))
     alpha = data.draw(st.sampled_from([0.05, 1.0, 1e3]))
     groups = data.draw(st.one_of(st.none(), st.just({name: "hidden" for name in _CORRUPT_LAYERS})))
     assert (_reports(diagnostics, columns, params, alpha, groups)
@@ -694,8 +714,8 @@ def test_two_bad_rows_named_alike_from_columns(tmp_path, check, bad, error, mess
     path = str(tmp_path / "seed_0.csv")
     emit_metrics(_stream_with(bad), path)
     records, columns = _assert_same_read(path, ["a", "b", "c"], 6)
-    profile = NoiseProfile({name: (0.0, 1.0) for name in ("a", "b", "c")})
-    params = BoundParams(c1=0.1, c2=1.0, delta=0.05, beta2=0.9, profile=profile)
+    layers = _layers({name: (0.0, 1.0) for name in ("a", "b", "c")})
+    params = BoundParams(c1=0.1, c2=1.0, delta=0.05, beta2=0.9, layers=layers)
     reports = _reports(diagnostics, columns, params, 0.05, None)
     assert reports == _reports(diagnostics_reference, records, params, 0.05, None)
     index = [h_bounds_check, alpha_ratio_envelope, noise_range_estimate].index(check)
@@ -783,12 +803,12 @@ def test_hidden_dual_norm_is_the_scaled_singular_value_sum(x):
     assert dual_norm(Group.HIDDEN, x).hex() == want.hex()
 
 
-def _reference_perturb(layers, exact, noise, rngs, twin):
+def _reference_perturb(layers, exact, rngs, twin):
     """perturb_gradients as first written, kept as the reference: numpy's
     uniform() for the radius and the sign, and an explicit negation."""
     outs = [dict() for _ in range(2 if twin else 1)]
     for spec in layers:
-        lo, hi = noise.radii[spec.name]
+        lo, hi = spec.sigma_lo, spec.sigma_hi
         rng = rngs[spec.name]
         for out in outs:
             e = np.zeros(spec.shape)
@@ -809,19 +829,17 @@ def _reference_perturb(layers, exact, noise, rngs, twin):
 @given(st.data())
 def test_perturb_gradients_draws_the_reference_bits(data):
     # The same noise, signs and stream positions as the reference.
-    specs = []
-    for i in range(data.draw(st.integers(1, 3))):
-        group, shape = data.draw(_GROUP_SHAPE)
-        specs.append(LayerSpec(f"l{i}", shape, group))
-    noise = NoiseProfile({spec.name: tuple(sorted(data.draw(st.tuples(
+    shapes = [data.draw(_GROUP_SHAPE) for _ in range(data.draw(st.integers(1, 3)))]
+    specs = [LayerSpec(f"l{i}", shape, group, None, *sorted(data.draw(st.tuples(
         st.sampled_from([0.0, 1e-3, 0.5, 3.0]) | st.floats(0.0, 10.0),
-        st.sampled_from([0.0, 1e-3, 0.5, 3.0]) | st.floats(0.0, 10.0))))) for spec in specs})
+        st.sampled_from([0.0, 1e-3, 0.5, 3.0]) | st.floats(0.0, 10.0)))))
+        for i, (group, shape) in enumerate(shapes)]
     exact = {spec.name: data.draw(hnp.arrays(np.float64, spec.shape, elements=_ENTRY)) for spec in specs}
     seed = data.draw(_SEED)
     twin = data.draw(st.booleans())
     rngs, ref_rngs = noise_streams(seed, specs), noise_streams(seed, specs)
-    got = perturb_gradients(specs, exact, noise, rngs, twin=twin)
-    want = _reference_perturb(specs, exact, noise, ref_rngs, twin)
+    got = perturb_gradients(specs, exact, rngs, twin=twin)
+    want = _reference_perturb(specs, exact, ref_rngs, twin)
     for out, ref in zip(got if twin else (got,), want):
         assert {k: _bits_of(v) for k, v in out.items()} == {k: _bits_of(v) for k, v in ref.items()}
     for spec in specs:

@@ -12,9 +12,9 @@ from lanton.optimizer import LayerSpec
 from lanton.tasks import (
     Dataset,
     MlpTask,
-    NoiseProfile,
     QuadraticTask,
     gen_dataset,
+    mlp_layers,
     mlp_value_grad,
     noise_streams,
     perturb_gradients,
@@ -24,16 +24,17 @@ from lanton.tasks import (
 )
 
 
+_NOISELESS = {"w1": (0.0, 0.0), "w2": (0.0, 0.0)}
+
+
 def _quad_task(shapes, smoothness=1.0, seed=0):
     rng = np.random.default_rng(seed)
     layers = []
     targets = {}
-    radii = {}
     for i, (name, group, shape) in enumerate(shapes):
         layers.append(LayerSpec(name, shape, group, smoothness=smoothness))
         targets[name] = rng.standard_normal(shape)
-        radii[name] = (0.0, 0.0)
-    return QuadraticTask(tuple(layers), targets, NoiseProfile(radii))
+    return QuadraticTask(tuple(layers), targets)
 
 
 def _preset_task(**section):
@@ -64,7 +65,7 @@ class TestQuadratic:
     def test_single_layer_example(self):
         layers = (LayerSpec("a", (2, 2), Group.HIDDEN, smoothness=2.0),)
         targets = {"a": np.zeros((2, 2))}
-        task = QuadraticTask(layers, targets, NoiseProfile({"a": (0.0, 0.0)}))
+        task = QuadraticTask(layers, targets)
         x = {"a": np.array([[1.0, 0.0], [0.0, 0.0]])}
         loss, grads = quadratic_value_grad(task, x)
         assert loss == pytest.approx(1.0)
@@ -101,17 +102,17 @@ class TestQuadratic:
 class TestSampleDualNoise:
     @pytest.mark.parametrize("group", list(Group))
     def test_zero_radii(self, group):
-        shape = 5 if group is Group.VECTOR_NORM else (3, 4)
+        shape = (5,) if group is Group.VECTOR_NORM else (3, 4)
         rng = np.random.default_rng(0)
-        out = sample_dual_noise(group, shape, 0.0, 0.0, rng)
+        out = sample_dual_noise(LayerSpec("l", shape, group, None, 0.0, 0.0), rng)
         assert np.array_equal(out, np.zeros(shape))
 
     @pytest.mark.parametrize("group", list(Group))
     def test_exact_radius(self, group):
-        shape = 5 if group is Group.VECTOR_NORM else (3, 4)
+        shape = (5,) if group is Group.VECTOR_NORM else (3, 4)
         rng = np.random.default_rng(1)
         for _ in range(20):
-            out = sample_dual_noise(group, shape, 2.0, 2.0, rng)
+            out = sample_dual_noise(LayerSpec("l", shape, group, None, 2.0, 2.0), rng)
             assert dual_norm(group, out) == pytest.approx(2.0, rel=1e-12)
 
     def test_radius_uniform_on_interval(self):
@@ -119,7 +120,7 @@ class TestSampleDualNoise:
         rng = np.random.default_rng(2)
         n = 10_000
         radii = np.array([
-            dual_norm(Group.VECTOR_NORM, sample_dual_noise(Group.VECTOR_NORM, 6, 1.0, 3.0, rng))
+            dual_norm(Group.VECTOR_NORM, sample_dual_noise(LayerSpec("l", (6,), Group.VECTOR_NORM, None, 1.0, 3.0), rng))
             for _ in range(n)
         ])
         assert radii.min() >= 1.0 - 1e-12
@@ -131,15 +132,6 @@ class TestSampleDualNoise:
         ks = max(np.abs(emp_hi - cdf).max(), np.abs(emp_lo - cdf).max())
         assert ks <= 1.628 / math.sqrt(n)
 
-    def test_invalid_radii(self):
-        rng = np.random.default_rng(3)
-        with pytest.raises(ValueError):
-            sample_dual_noise(Group.VECTOR_NORM, 4, 2.0, 1.0, rng)
-        # A span that is not finite: OverflowError, as rng.uniform raises.
-        for lo, hi in ((math.nan, 1.0), (0.0, math.nan), (1.0, math.inf), (math.inf, math.inf)):
-            with pytest.raises(OverflowError):
-                sample_dual_noise(Group.VECTOR_NORM, 4, lo, hi, rng)
-
 
 class TestStochasticGrad:
     def test_zero_radii_exact(self):
@@ -147,28 +139,27 @@ class TestStochasticGrad:
         rngs = noise_streams(0, task.layers)
         x = {"a": np.ones((3, 3))}
         _, exact = quadratic_value_grad(task, x)
-        noisy = perturb_gradients(task.layers, exact, task.noise, rngs)
+        noisy = perturb_gradients(task.layers, exact, rngs)
         assert np.array_equal(noisy["a"], exact["a"])
 
     def test_twin_identical_when_noiseless(self):
         task = _quad_task([("a", Group.HIDDEN, (3, 3))])
         rngs = noise_streams(0, task.layers)
         _, exact = quadratic_value_grad(task, {"a": np.ones((3, 3))})
-        g, tw = perturb_gradients(task.layers, exact, task.noise, rngs, twin=True)
+        g, tw = perturb_gradients(task.layers, exact, rngs, twin=True)
         assert np.array_equal(g["a"], tw["a"])
 
     def test_twin_noise_independent(self):
         task = _preset_task(preset="transformer")
         rngs = noise_streams(0, task.layers)
         _, exact = quadratic_value_grad(task, task.initial_params())
-        g, tw = perturb_gradients(task.layers, exact, task.noise, rngs, twin=True)
+        g, tw = perturb_gradients(task.layers, exact, rngs, twin=True)
         for name in g:
             assert not np.array_equal(g[name], tw[name])
 
     def test_unbiased_monte_carlo(self):
         # per-entry bias within 3 standard errors over 1e5 draws
-        spec = LayerSpec("e", (3, 4), Group.EMBEDDING_HEAD)
-        profile = NoiseProfile({"e": (0.5, 1.5)})
+        spec = LayerSpec("e", (3, 4), Group.EMBEDDING_HEAD, sigma_lo=0.5, sigma_hi=1.5)
         rng = np.random.default_rng(42)
         rngs = {"e": rng}
         exact = {"e": np.zeros((3, 4))}
@@ -176,7 +167,7 @@ class TestStochasticGrad:
         acc = np.zeros((3, 4))
         acc_sq = np.zeros((3, 4))
         for _ in range(n):
-            g = perturb_gradients([spec], exact, profile, rngs)["e"]
+            g = perturb_gradients([spec], exact, rngs)["e"]
             acc += g
             acc_sq += g * g
         mean = acc / n
@@ -187,13 +178,11 @@ class TestStochasticGrad:
 class TestMlp:
     def _task(self, widths=(2, 2, 1), n=16, seed=0, label_noise=0.0):
         ds = gen_dataset(widths, n, label_noise, seed)
-        return MlpTask(widths=widths, dataset=ds,
-                       noise=NoiseProfile({"w1": (0.0, 0.0), "w2": (0.0, 0.0)}), seed=seed)
+        return MlpTask(mlp_layers(widths, _NOISELESS), dataset=ds, seed=seed)
 
     def test_zero_weights_zero_targets(self):
         ds = Dataset(features=np.ones((4, 2)), labels=np.zeros((4, 1)))
-        task = MlpTask(widths=(2, 2, 1), dataset=ds,
-                       noise=NoiseProfile({"w1": (0.0, 0.0), "w2": (0.0, 0.0)}))
+        task = MlpTask(mlp_layers((2, 2, 1), _NOISELESS), dataset=ds)
         params = {"w1": np.zeros((2, 2)), "w2": np.zeros((1, 2))}
         loss, grads = mlp_value_grad(task, params)
         assert loss == 0.0
@@ -218,7 +207,7 @@ class TestMlp:
         ds = task.dataset
         doubled = Dataset(features=np.vstack([ds.features, ds.features]),
                           labels=np.vstack([ds.labels, ds.labels]))
-        task2 = MlpTask(widths=task.widths, dataset=doubled, noise=task.noise, seed=task.seed)
+        task2 = MlpTask(task.layers, dataset=doubled, seed=task.seed)
         params = task.initial_params()
         l1, g1 = mlp_value_grad(task, params)
         l2, g2 = mlp_value_grad(task2, params)
@@ -328,9 +317,10 @@ class TestPresets:
     def test_transformer_preset_layers(self):
         task = _preset_task(preset="transformer")
         assert {l.name for l in task.layers} == {"qk", "vo", "mlp"}
-        assert task.noise.radii["qk"] == (0.003, 0.026)
-        assert task.noise.radii["vo"] == (0.009, 0.117)
-        assert task.noise.radii["mlp"] == (0.018, 0.107)
+        radii = {l.name: (l.sigma_lo, l.sigma_hi) for l in task.layers}
+        assert radii["qk"] == (0.003, 0.026)
+        assert radii["vo"] == (0.009, 0.117)
+        assert radii["mlp"] == (0.018, 0.107)
         assert all(l.group is Group.HIDDEN for l in task.layers)
         assert all(l.shape == (8, 8) and l.smoothness == 1.0 for l in task.layers)
 
@@ -338,11 +328,11 @@ class TestPresets:
         task = _preset_task(preset="heterogeneous")
         assert len(task.layers) == 6
         assert all(l.shape == (8, 8) and l.smoothness == 1.0 for l in task.layers)
-        his = [task.noise.radii[l.name][1] for l in task.layers]
+        his = [l.sigma_hi for l in task.layers]
         assert his[0] == 0.003
         assert his[-1] / his[0] == pytest.approx(100.0, rel=1e-12)
         assert all(b > a for a, b in zip(his, his[1:]))
-        assert all(task.noise.radii[l.name][0] == (1.0 / 3.0) * hi for l, hi in zip(task.layers, his))
+        assert all(l.sigma_lo == (1.0 / 3.0) * hi for l, hi in zip(task.layers, his))
 
     def test_targets_deterministic(self):
         t1 = _preset_task(preset="transformer", seed=4)
@@ -351,10 +341,36 @@ class TestPresets:
             assert np.array_equal(t1.targets[name], t2.targets[name])
 
 
-def test_noise_profile_validation():
-    with pytest.raises(ValueError):
-        NoiseProfile({"a": (2.0, 1.0)})
-    with pytest.raises(ValueError):
-        NoiseProfile({"a": (-1.0, 1.0)})
-    with pytest.raises(ValueError):
-        NoiseProfile({"a": (0.0, math.inf)})
+def test_layer_spec_noise_radii_validation():
+    for radii, message in (
+        ((2.0, 1.0), "layer a: need 0 <= sigma_lo <= sigma_hi, got (2.0, 1.0)"),
+        ((-1.0, 1.0), "layer a: need 0 <= sigma_lo <= sigma_hi, got (-1.0, 1.0)"),
+        ((0.0, math.inf), "layer a: noise radii must be finite"),
+        ((math.nan, 1.0), "layer a: noise radii must be finite"),
+        ((0.0, math.nan), "layer a: noise radii must be finite"),
+        ((1.0, math.inf), "layer a: noise radii must be finite"),
+        ((math.inf, math.inf), "layer a: noise radii must be finite"),
+    ):
+        with pytest.raises(ValueError) as info:
+            LayerSpec("a", (4,), Group.VECTOR_NORM, None, *radii)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("layers", [
+    mlp_layers((2, 3, 1), _NOISELESS)[:1],
+    mlp_layers((2, 3, 1), _NOISELESS)[::-1],
+    mlp_layers((2, 3, 1), _NOISELESS) + mlp_layers((2, 3, 1), _NOISELESS)[1:],
+    (mlp_layers((2, 3, 1), _NOISELESS)[0], mlp_layers((2, 4, 1), _NOISELESS)[1]),
+    (mlp_layers((2, 3, 1), _NOISELESS)[0], LayerSpec("w2", (1, 3), Group.EMBEDDING_HEAD)),
+    (mlp_layers((2, 3, 1), _NOISELESS)[0], LayerSpec("w2", (3,), Group.VECTOR_NORM)),
+    (LayerSpec("v1", (3, 2), Group.HIDDEN), mlp_layers((2, 3, 1), _NOISELESS)[1]),
+    (mlp_layers((2, 3, 1), _NOISELESS)[0], LayerSpec("w2", (1, 3), Group.HIDDEN, smoothness=1.0)),
+])
+def test_mlp_task_takes_only_mlp_layers(layers):
+    # The layers must be mlp_layers of one set of widths: two hidden layers
+    # named w1 and w2, in that order, whose hidden widths agree.
+    ds = Dataset(features=np.ones((4, 2)), labels=np.zeros((4, 1)))
+    with pytest.raises(ValueError, match="^layers are not the mlp_layers of one set of widths$"):
+        MlpTask(tuple(layers), dataset=ds)
+    noisy = mlp_layers((2, 3, 1), {"w1": (0.1, 0.2), "w2": (0.0, 0.3)})
+    assert MlpTask(noisy, dataset=ds).widths == (2, 3, 1)
