@@ -132,6 +132,22 @@ class TestSampleDualNoise:
         ks = max(np.abs(emp_hi - cdf).max(), np.abs(emp_lo - cdf).max())
         assert ks <= 1.628 / math.sqrt(n)
 
+    def test_invalid_radii(self):
+        # The sampler reads its radii from the LayerSpec, which refuses
+        # reversed, negative and non-finite radii before any draw is made.
+        for radii, message in (
+            ((2.0, 1.0), "layer a: need 0 <= sigma_lo <= sigma_hi, got (2.0, 1.0)"),
+            ((-1.0, 1.0), "layer a: need 0 <= sigma_lo <= sigma_hi, got (-1.0, 1.0)"),
+            ((0.0, math.inf), "layer a: noise radii must be finite"),
+            ((math.nan, 1.0), "layer a: noise radii must be finite"),
+            ((0.0, math.nan), "layer a: noise radii must be finite"),
+            ((1.0, math.inf), "layer a: noise radii must be finite"),
+            ((math.inf, math.inf), "layer a: noise radii must be finite"),
+        ):
+            with pytest.raises(ValueError) as info:
+                LayerSpec("a", (4,), Group.VECTOR_NORM, None, *radii)
+            assert str(info.value) == message
+
 
 class TestStochasticGrad:
     def test_zero_radii_exact(self):
@@ -341,19 +357,12 @@ class TestPresets:
             assert np.array_equal(t1.targets[name], t2.targets[name])
 
 
-def test_layer_spec_noise_radii_validation():
-    for radii, message in (
-        ((2.0, 1.0), "layer a: need 0 <= sigma_lo <= sigma_hi, got (2.0, 1.0)"),
-        ((-1.0, 1.0), "layer a: need 0 <= sigma_lo <= sigma_hi, got (-1.0, 1.0)"),
-        ((0.0, math.inf), "layer a: noise radii must be finite"),
-        ((math.nan, 1.0), "layer a: noise radii must be finite"),
-        ((0.0, math.nan), "layer a: noise radii must be finite"),
-        ((1.0, math.inf), "layer a: noise radii must be finite"),
-        ((math.inf, math.inf), "layer a: noise radii must be finite"),
-    ):
-        with pytest.raises(ValueError) as info:
-            LayerSpec("a", (4,), Group.VECTOR_NORM, None, *radii)
-        assert str(info.value) == message
+def test_noise_profile_validation():
+    # A task's noise profile, the (sigma_lo, sigma_hi) of each layer, is
+    # checked as its LayerSpecs are built, and the error names the layer.
+    for radii in ((2.0, 1.0), (-1.0, 1.0), (0.0, math.inf)):
+        with pytest.raises(ValueError, match="^layer w2: "):
+            mlp_layers((2, 3, 1), {"w1": (0.0, 0.0), "w2": radii})
 
 
 @pytest.mark.parametrize("layers", [
